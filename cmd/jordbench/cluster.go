@@ -62,6 +62,7 @@ type clusterReport struct {
 	GoVersion   string `json:"go_version"`
 	GOMAXPROCS  int    `json:"gomaxprocs"`
 	NumCPU      int    `json:"num_cpu"`
+	Box         string `json:"box"` // the machine that made the numbers
 
 	RequestsPerPoint int `json:"requests_per_point"`
 	ClientWorkers    int `json:"client_workers"`
@@ -304,6 +305,21 @@ func parseWorkerCounts(s string) ([]int, error) {
 	return out, nil
 }
 
+// boxStamp names the machine for the report: a curve means nothing
+// without the box it was drawn on.
+func boxStamp() string {
+	model := "unknown cpu"
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				model = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return fmt.Sprintf("%s, %d cpus, %s/%s", model, runtime.NumCPU(), runtime.GOOS, runtime.GOARCH)
+}
+
 // runCluster sweeps the dispatcher over 1→N in-process workers on
 // loopback and writes BENCH_cluster.json. It returns whether the
 // -cluster-gate checks failed (the caller exits nonzero).
@@ -319,6 +335,7 @@ func runCluster(out string, requests, clients int, counts string, gate bool) boo
 		GoVersion:        runtime.Version(),
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		NumCPU:           runtime.NumCPU(),
+		Box:              boxStamp(),
 		RequestsPerPoint: requests,
 		ClientWorkers:    clients,
 	}

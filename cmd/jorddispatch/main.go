@@ -47,16 +47,18 @@
 // delay (clamped p95 of recent latencies; -hedge-delay sets the
 // cold-start value); the first response wins and the loser is canceled.
 //
-// Chaos: -chaos injects deterministic transport faults against the
-// workers for resilience drills, e.g.
+// Chaos: -chaos injects deterministic faults into the relay's worker
+// connections (internal/cluster/chaos, through cluster.Config.Dial) for
+// resilience drills, e.g.
 //
 //	-chaos 'refused:0.05,reset-after-write:0.01' -chaos-seed 7
 //	-chaos '127.0.0.1:8041=stall x1'
 //
 // Faults: refused, reset-before-write, reset-after-write, reset-mid-body,
 // latency (delay = -chaos-latency), stall. Each clause is
-// [worker=]fault[:probability][xCount]. Health polls are never faulted,
-// so /readyz verdicts stay truthful while invokes suffer.
+// [worker=]fault[:probability][xCount], drawn once per request. Health
+// polls use no relay connection, so /readyz verdicts stay truthful while
+// invokes suffer.
 //
 // Worker replacement without dropped requests: drain, poll /workers until
 // outstanding hits 0, remove, add the replacement.
@@ -146,13 +148,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "jorddispatch: %v\n", err)
 			os.Exit(2)
 		}
-		cfg.Client = &http.Client{
-			Transport: chaos.New(&http.Transport{
-				MaxIdleConns:        4096,
-				MaxIdleConnsPerHost: 1024,
-				IdleConnTimeout:     90 * time.Second,
-			}, *chaosSd, rules...),
-		}
+		cfg.Dial = chaos.New(nil, *chaosSd, rules...).Dial
 		log.Printf("CHAOS ON: injecting %q (seed %d) — invokes will fail on purpose", *chaosS, *chaosSd)
 	}
 	d := cluster.New(cfg)

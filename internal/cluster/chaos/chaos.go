@@ -1,8 +1,16 @@
 // Package chaos is a deterministic fault-injection layer for the cluster
-// dispatcher's HTTP transport. It wraps an http.RoundTripper and, per a
-// seeded schedule, synthesizes the hard failures a real cluster sees:
-// connections refused, resets before or after the request is written,
-// resets mid-response-body, latency spikes, and black-hole stalls.
+// dispatcher's worker connections. It wraps the relay's dial function
+// (cluster.Config.Dial) and hands back connections that, per a seeded
+// schedule, fail the way a real cluster's do: connections refused, resets
+// before or after the request is written, resets mid-response-body,
+// latency spikes, and black-hole stalls. The relay knows nothing of it;
+// the faults reach it as the errors its own reads, writes and dials
+// return. Health polls use no relay connection, so they are never
+// faulted and /readyz verdicts stay truthful.
+//
+// One fault is drawn per request: at the dial for a request that opens a
+// connection, at the first write after a read for one that rides a
+// kept-alive connection (the relay never pipelines).
 //
 // Determinism: each target host draws from its own rand.Rand seeded by
 // Seed ^ hash(host), so a given (seed, rule set, request order) replays
@@ -10,12 +18,13 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math/rand"
 	"net"
-	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,25 +38,28 @@ type Fault int
 
 const (
 	// FaultRefused synthesizes a dial-time "connection refused": the
-	// request never leaves the client. Always safe to retry.
+	// request never leaves the dispatcher. Always safe to retry. A request
+	// that would have ridden a pooled connection finds it reset and the
+	// dial that follows refused — what a dead worker looks like.
 	FaultRefused Fault = iota
 	// FaultResetBeforeWrite synthesizes a connection reset while writing
 	// the request: the worker never received a complete request, so it
 	// never invoked. Safe to retry.
 	FaultResetBeforeWrite
-	// FaultResetAfterWrite performs the real round-trip (the worker
-	// EXECUTES the function), then discards the response and reports a
-	// read-side reset. Retrying without an idempotency key double-executes.
+	// FaultResetAfterWrite lets the request through (the worker EXECUTES
+	// the function), waits for the response to start arriving, then drops
+	// it and reports a read-side reset. Retrying without an idempotency
+	// key double-executes.
 	FaultResetAfterWrite
-	// FaultResetMidBody performs the real round-trip but truncates the
-	// response body partway with a reset. The worker executed.
+	// FaultResetMidBody lets the request through but cuts the response
+	// body off partway with a reset. The worker executed.
 	FaultResetMidBody
-	// FaultLatency delays the request by the rule's Latency, then forwards
+	// FaultLatency delays the request by the rule's Latency, then sends
 	// it normally.
 	FaultLatency
-	// FaultStall black-holes the request: it blocks until the request
-	// context is canceled and returns the context error. The worker never
-	// sees the request.
+	// FaultStall black-holes the request: the write blocks until the
+	// connection's deadline passes or it is closed, as against a peer that
+	// went silent. The worker never sees the request.
 	FaultStall
 )
 
@@ -93,65 +105,49 @@ func (r *Rule) matches(host string) bool {
 // Fired reports how many times the rule has injected its fault.
 func (r *Rule) Fired() int64 { return r.fired.Load() }
 
-// Transport wraps a base RoundTripper with the fault schedule.
-type Transport struct {
-	base  http.RoundTripper
+// DialFunc opens a connection to a worker; cluster.Config.Dial has this
+// shape.
+type DialFunc func(ctx context.Context, addr string) (net.Conn, error)
+
+// Dialer wraps a base dial function with the fault schedule.
+type Dialer struct {
+	base  DialFunc
 	rules []*Rule
 	seed  int64
 
-	// InvokeOnly restricts injection to /invoke/ requests so health polls
-	// keep reporting the truth. On by default via New.
-	invokeOnly bool
-
 	mu   sync.Mutex
 	rnds map[string]*rand.Rand
+	// owed counts, per worker, refusals drawn by requests on pooled
+	// connections and still to be served to the dial that follows.
+	owed map[string]int
 
 	injected atomic.Int64
 }
 
-// New builds a fault-injecting transport over base (nil =
-// http.DefaultTransport). Injection is restricted to /invoke/ paths;
-// use AllPaths to also fault health polls.
-func New(base http.RoundTripper, seed int64, rules ...*Rule) *Transport {
+// New builds a fault-injecting dialer over base (nil = plain TCP).
+func New(base DialFunc, seed int64, rules ...*Rule) *Dialer {
 	if base == nil {
-		base = http.DefaultTransport
+		base = func(ctx context.Context, addr string) (net.Conn, error) {
+			var nd net.Dialer
+			return nd.DialContext(ctx, "tcp", addr)
+		}
 	}
-	return &Transport{
-		base:       base,
-		rules:      rules,
-		seed:       seed,
-		invokeOnly: true,
-		rnds:       make(map[string]*rand.Rand),
+	return &Dialer{
+		base:  base,
+		rules: rules,
+		seed:  seed,
+		rnds:  make(map[string]*rand.Rand),
+		owed:  make(map[string]int),
 	}
-}
-
-// AllPaths widens injection to every request, including health polls.
-func (t *Transport) AllPaths() *Transport {
-	t.invokeOnly = false
-	return t
 }
 
 // Injected reports the total number of faults injected.
-func (t *Transport) Injected() int64 { return t.injected.Load() }
-
-func (t *Transport) rnd(host string) *rand.Rand {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := t.rnds[host]
-	if r == nil {
-		h := fnv.New64a()
-		io.WriteString(h, host)
-		r = rand.New(rand.NewSource(t.seed ^ int64(h.Sum64())))
-		t.rnds[host] = r
-	}
-	return r
-}
+func (d *Dialer) Injected() int64 { return d.injected.Load() }
 
 // pick returns the first matching rule that rolls a hit, consuming one of
 // its Count charges.
-func (t *Transport) pick(req *http.Request) *Rule {
-	host := req.URL.Host
-	for _, r := range t.rules {
+func (d *Dialer) pick(host string) *Rule {
+	for _, r := range d.rules {
 		if !r.matches(host) {
 			continue
 		}
@@ -160,10 +156,16 @@ func (t *Transport) pick(req *http.Request) *Rule {
 			p = 1.0
 		}
 		if p < 1.0 {
-			rnd := t.rnd(host)
-			t.mu.Lock()
+			d.mu.Lock()
+			rnd := d.rnds[host]
+			if rnd == nil {
+				h := fnv.New64a()
+				io.WriteString(h, host)
+				rnd = rand.New(rand.NewSource(d.seed ^ int64(h.Sum64())))
+				d.rnds[host] = rnd
+			}
 			roll := rnd.Float64()
-			t.mu.Unlock()
+			d.mu.Unlock()
 			if roll >= p {
 				continue
 			}
@@ -176,102 +178,171 @@ func (t *Transport) pick(req *http.Request) *Rule {
 		} else {
 			r.fired.Add(1)
 		}
+		d.injected.Add(1)
 		return r
 	}
 	return nil
 }
 
-// RoundTrip implements http.RoundTripper. Synthetic transport errors close
-// req.Body first, as the contract requires.
-func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if t.invokeOnly && !strings.HasPrefix(req.URL.Path, "/invoke/") {
-		return t.base.RoundTrip(req)
-	}
-	r := t.pick(req)
-	if r == nil {
-		return t.base.RoundTrip(req)
-	}
-	t.injected.Add(1)
-	switch r.Fault {
-	case FaultRefused:
-		closeBody(req)
-		return nil, &net.OpError{Op: "dial", Net: "tcp", Err: syscall.ECONNREFUSED}
-	case FaultResetBeforeWrite:
-		closeBody(req)
-		return nil, &net.OpError{Op: "write", Net: "tcp", Err: syscall.ECONNRESET}
-	case FaultResetAfterWrite:
-		// The worker really executes: forward, then lose the response.
-		resp, err := t.base.RoundTrip(req)
-		if err != nil {
-			return nil, err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return nil, &net.OpError{Op: "read", Net: "tcp", Err: syscall.ECONNRESET}
-	case FaultResetMidBody:
-		resp, err := t.base.RoundTrip(req)
-		if err != nil {
-			return nil, err
-		}
-		n := r.MidBody
-		if n <= 0 {
-			n = 1
-		}
-		resp.Body = &truncatingBody{rc: resp.Body, remain: n}
-		// The advertised length no longer matches what we will deliver;
-		// the reader hits the reset before noticing.
-		return resp, nil
-	case FaultLatency:
-		d := r.Latency
-		if d <= 0 {
-			d = 100 * time.Millisecond
-		}
-		select {
-		case <-time.After(d):
-		case <-req.Context().Done():
-			closeBody(req)
-			return nil, req.Context().Err()
-		}
-		return t.base.RoundTrip(req)
-	case FaultStall:
-		closeBody(req)
-		<-req.Context().Done()
-		return nil, req.Context().Err()
-	}
-	return t.base.RoundTrip(req)
+func refused() error {
+	return &net.OpError{Op: "dial", Net: "tcp", Err: syscall.ECONNREFUSED}
 }
 
-func closeBody(req *http.Request) {
-	if req.Body != nil {
-		req.Body.Close()
-	}
+func reset(op string) error {
+	return &net.OpError{Op: op, Net: "tcp", Err: syscall.ECONNRESET}
 }
 
-// truncatingBody delivers remain bytes, then fails with a read-side reset.
-type truncatingBody struct {
-	rc     io.ReadCloser
-	remain int
-}
-
-func (b *truncatingBody) Read(p []byte) (int, error) {
-	if b.remain <= 0 {
-		return 0, &net.OpError{Op: "read", Net: "tcp", Err: syscall.ECONNRESET}
+// Dial draws the fault for the request this connection is opened for.
+func (d *Dialer) Dial(ctx context.Context, addr string) (net.Conn, error) {
+	d.mu.Lock()
+	owed := d.owed[addr] > 0
+	if owed {
+		d.owed[addr]--
 	}
-	if len(p) > b.remain {
-		p = p[:b.remain]
+	d.mu.Unlock()
+	if owed {
+		return nil, refused()
 	}
-	n, err := b.rc.Read(p)
-	b.remain -= n
+	r := d.pick(addr)
+	if r != nil && r.Fault == FaultRefused {
+		return nil, refused()
+	}
+	c, err := d.base(ctx, addr)
 	if err != nil {
-		return n, err
+		return nil, err
 	}
-	if b.remain <= 0 {
-		return n, &net.OpError{Op: "read", Net: "tcp", Err: syscall.ECONNRESET}
-	}
-	return n, nil
+	return &conn{Conn: c, d: d, host: addr, fault: r, drawn: true}, nil
 }
 
-func (b *truncatingBody) Close() error { return b.rc.Close() }
+// conn is one worker connection under the schedule. The relay drives a
+// connection from one goroutine at a time; only SetDeadline and Close
+// arrive from others, and mu covers what they touch.
+type conn struct {
+	net.Conn
+	d    *Dialer
+	host string
+
+	fault    *Rule // in force for the request in progress
+	drawn    bool  // fault already holds the next request's draw (made at dial)
+	writing  bool  // a request has begun and no response byte was read yet
+	headSeen int   // mid-body: how much of the blank line ending the head has matched
+	bodyLeft int   // mid-body: body bytes still to deliver
+
+	mu       sync.Mutex
+	deadline time.Time
+	closed   bool
+}
+
+func (c *conn) SetDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.deadline = t
+	c.mu.Unlock()
+	return c.Conn.SetDeadline(t)
+}
+
+func (c *conn) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	return c.Conn.Close()
+}
+
+// wait blocks for d (d < 0: for good), ending early with the error a
+// blocked socket write would return when the deadline passes or the
+// connection is closed. It polls: a drill can afford the millisecond.
+func (c *conn) wait(d time.Duration) error {
+	for end := time.Now().Add(d); d < 0 || time.Now().Before(end); time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		deadline, closed := c.deadline, c.closed
+		c.mu.Unlock()
+		if closed {
+			return &net.OpError{Op: "write", Net: "tcp", Err: net.ErrClosed}
+		}
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			return &net.OpError{Op: "write", Net: "tcp", Err: os.ErrDeadlineExceeded}
+		}
+	}
+	return nil
+}
+
+func (c *conn) Write(p []byte) (int, error) {
+	if !c.writing {
+		c.writing = true
+		if !c.drawn {
+			c.fault = c.d.pick(c.host)
+		}
+		c.drawn = false
+		if r := c.fault; r != nil {
+			switch r.Fault {
+			case FaultRefused:
+				c.d.mu.Lock()
+				c.d.owed[c.host]++
+				c.d.mu.Unlock()
+				c.Conn.Close()
+				return 0, reset("write")
+			case FaultResetBeforeWrite:
+				c.Conn.Close()
+				return 0, reset("write")
+			case FaultLatency:
+				d := r.Latency
+				if d <= 0 {
+					d = 100 * time.Millisecond
+				}
+				if err := c.wait(d); err != nil {
+					return 0, err
+				}
+			case FaultStall:
+				return 0, c.wait(-1)
+			case FaultResetMidBody:
+				c.headSeen = 0
+				if c.bodyLeft = r.MidBody; c.bodyLeft <= 0 {
+					c.bodyLeft = 1
+				}
+			}
+		}
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *conn) Read(p []byte) (int, error) {
+	c.writing = false
+	if c.fault == nil {
+		return c.Conn.Read(p)
+	}
+	switch c.fault.Fault {
+	case FaultResetAfterWrite:
+		// The first response byte proves the worker ran the function.
+		if _, err := c.Conn.Read(p); err != nil {
+			return 0, err
+		}
+		c.Conn.Close()
+		return 0, reset("read")
+	case FaultResetMidBody:
+		if c.bodyLeft == 0 {
+			c.Conn.Close()
+			return 0, reset("read")
+		}
+		n, err := c.Conn.Read(p)
+		// Find where the head ends in what arrived, then count the body.
+		keep := 0
+		for keep < n && c.bodyLeft > 0 {
+			b := p[keep]
+			keep++
+			switch {
+			case c.headSeen == 4:
+				c.bodyLeft--
+			case b == "\r\n\r\n"[c.headSeen]:
+				c.headSeen++
+			case b == '\r':
+				c.headSeen = 1
+			default:
+				c.headSeen = 0
+			}
+		}
+		return keep, err
+	}
+	return c.Conn.Read(p)
+}
 
 // ParseSpec parses a comma-separated fault schedule, one rule per clause:
 //

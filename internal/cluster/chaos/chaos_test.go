@@ -1,12 +1,14 @@
 package chaos
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -14,7 +16,7 @@ import (
 	"time"
 )
 
-func testServer(t *testing.T, hits *atomic.Int64) *httptest.Server {
+func testServer(t *testing.T, hits *atomic.Int64) (addr string) {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/invoke/") {
@@ -24,43 +26,89 @@ func testServer(t *testing.T, hits *atomic.Int64) *httptest.Server {
 		w.Write([]byte("response-body-0123456789"))
 	}))
 	t.Cleanup(srv.Close)
-	return srv
+	return strings.TrimPrefix(srv.URL, "http://")
 }
 
-func doInvoke(t *testing.T, client *http.Client, url string) (*http.Response, error) {
-	t.Helper()
-	req, err := http.NewRequest("POST", url+"/invoke/echo", strings.NewReader("payload"))
-	if err != nil {
-		t.Fatal(err)
+// invoke sends one request the way the relay does — head and payload as
+// two writes, then reads — and returns the body.
+func invoke(c net.Conn, br *bufio.Reader) (string, error) {
+	for _, part := range []string{"POST /invoke/echo HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n", "payload"} {
+		if _, err := c.Write([]byte(part)); err != nil {
+			return "", err
+		}
 	}
-	return client.Do(req)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		return "", err
+	}
+	body, err := io.ReadAll(resp.Body)
+	return string(body), err
+}
+
+// dialInvoke opens a connection through d and runs one request on it.
+func dialInvoke(d *Dialer, addr string) (net.Conn, *bufio.Reader, string, error) {
+	c, err := d.Dial(context.Background(), addr)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	br := bufio.NewReader(c)
+	body, err := invoke(c, br)
+	return c, br, body, err
+}
+
+func wantOpErr(t *testing.T, err error, op string, errno syscall.Errno) {
+	t.Helper()
+	var oe *net.OpError
+	if !errors.As(err, &oe) || oe.Op != op || !errors.Is(oe.Err, errno) {
+		t.Fatalf("want %s %v OpError, got %v", op, errno, err)
+	}
 }
 
 func TestRefusedNeverReachesWorker(t *testing.T) {
 	var hits atomic.Int64
-	srv := testServer(t, &hits)
-	client := &http.Client{Transport: New(nil, 1, &Rule{Fault: FaultRefused})}
-
-	_, err := doInvoke(t, client, srv.URL)
-	var op *net.OpError
-	if !errors.As(err, &op) || op.Op != "dial" || !errors.Is(op.Err, syscall.ECONNREFUSED) {
-		t.Fatalf("want dial ECONNREFUSED OpError, got %v", err)
-	}
+	addr := testServer(t, &hits)
+	_, _, _, err := dialInvoke(New(nil, 1, &Rule{Fault: FaultRefused}), addr)
+	wantOpErr(t, err, "dial", syscall.ECONNREFUSED)
 	if hits.Load() != 0 {
 		t.Fatal("refused request must not reach the worker")
 	}
 }
 
+// TestRefusedOnPooledConn: a refusal drawn by a request riding a
+// kept-alive connection resets that connection and refuses the dial that
+// follows — one firing, and the worker sees neither.
+func TestRefusedOnPooledConn(t *testing.T) {
+	var hits atomic.Int64
+	addr := testServer(t, &hits)
+	d := New(nil, 1)
+	c, br, _, err := dialInvoke(d, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// The schedule starts once the connection is open and idle.
+	rule := &Rule{Fault: FaultRefused, Count: 1}
+	d.rules = append(d.rules, rule)
+
+	_, err = invoke(c, br)
+	wantOpErr(t, err, "write", syscall.ECONNRESET)
+	_, err = d.Dial(context.Background(), addr)
+	wantOpErr(t, err, "dial", syscall.ECONNREFUSED)
+	if hits.Load() != 1 || rule.Fired() != 1 {
+		t.Fatalf("hits=%d fired=%d: want only the opening request's hit, and one firing", hits.Load(), rule.Fired())
+	}
+	c2, _, _, err := dialInvoke(d, addr)
+	if err != nil {
+		t.Fatalf("the dial after the refused one should pass: %v", err)
+	}
+	c2.Close()
+}
+
 func TestResetBeforeWriteNeverReachesWorker(t *testing.T) {
 	var hits atomic.Int64
-	srv := testServer(t, &hits)
-	client := &http.Client{Transport: New(nil, 1, &Rule{Fault: FaultResetBeforeWrite})}
-
-	_, err := doInvoke(t, client, srv.URL)
-	var op *net.OpError
-	if !errors.As(err, &op) || op.Op != "write" || !errors.Is(op.Err, syscall.ECONNRESET) {
-		t.Fatalf("want write ECONNRESET OpError, got %v", err)
-	}
+	addr := testServer(t, &hits)
+	_, _, _, err := dialInvoke(New(nil, 1, &Rule{Fault: FaultResetBeforeWrite}), addr)
+	wantOpErr(t, err, "write", syscall.ECONNRESET)
 	if hits.Load() != 0 {
 		t.Fatal("reset-before-write must not reach the worker")
 	}
@@ -68,14 +116,9 @@ func TestResetBeforeWriteNeverReachesWorker(t *testing.T) {
 
 func TestResetAfterWriteExecutesWorker(t *testing.T) {
 	var hits atomic.Int64
-	srv := testServer(t, &hits)
-	client := &http.Client{Transport: New(nil, 1, &Rule{Fault: FaultResetAfterWrite})}
-
-	_, err := doInvoke(t, client, srv.URL)
-	var op *net.OpError
-	if !errors.As(err, &op) || op.Op != "read" || !errors.Is(op.Err, syscall.ECONNRESET) {
-		t.Fatalf("want read ECONNRESET OpError, got %v", err)
-	}
+	addr := testServer(t, &hits)
+	_, _, _, err := dialInvoke(New(nil, 1, &Rule{Fault: FaultResetAfterWrite}), addr)
+	wantOpErr(t, err, "read", syscall.ECONNRESET)
 	if hits.Load() != 1 {
 		t.Fatalf("reset-after-write must execute the worker once, hits=%d", hits.Load())
 	}
@@ -83,48 +126,53 @@ func TestResetAfterWriteExecutesWorker(t *testing.T) {
 
 func TestResetMidBodyTruncates(t *testing.T) {
 	var hits atomic.Int64
-	srv := testServer(t, &hits)
-	client := &http.Client{Transport: New(nil, 1, &Rule{Fault: FaultResetMidBody, MidBody: 5})}
-
-	resp, err := doInvoke(t, client, srv.URL)
-	if err != nil {
-		t.Fatalf("mid-body reset should deliver headers: %v", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err == nil {
-		t.Fatal("body read should fail with a reset")
-	}
-	var op *net.OpError
-	if !errors.As(err, &op) || op.Op != "read" {
-		t.Fatalf("want read OpError, got %v", err)
-	}
-	if len(body) != 5 {
-		t.Fatalf("delivered %d bytes before reset, want 5", len(body))
+	addr := testServer(t, &hits)
+	_, _, body, err := dialInvoke(New(nil, 1, &Rule{Fault: FaultResetMidBody, MidBody: 5}), addr)
+	wantOpErr(t, err, "read", syscall.ECONNRESET)
+	if body != "respo" {
+		t.Fatalf("delivered %q before the reset, want 5 bytes", body)
 	}
 	if hits.Load() != 1 {
 		t.Fatal("mid-body reset still executes the worker")
 	}
 }
 
-func TestStallBlocksUntilContextCancel(t *testing.T) {
+// TestStallBlocksUntilDeadline: a stalled write ends when the deadline
+// passes — set beforehand or moved into the past from another goroutine,
+// the way the relay cancels — or when the connection is closed.
+func TestStallBlocksUntilDeadline(t *testing.T) {
 	var hits atomic.Int64
-	srv := testServer(t, &hits)
-	client := &http.Client{Transport: New(nil, 1, &Rule{Fault: FaultStall})}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, "POST", srv.URL+"/invoke/echo", strings.NewReader("p"))
-	start := time.Now()
-	_, err := client.Do(req)
-	if err == nil {
-		t.Fatal("stall should fail once the context expires")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded, got %v", err)
-	}
-	if time.Since(start) < 40*time.Millisecond {
-		t.Fatal("stall returned before the context deadline")
+	addr := testServer(t, &hits)
+	d := New(nil, 1, &Rule{Fault: FaultStall})
+	for name, unblock := range map[string]func(net.Conn){
+		"deadline": func(net.Conn) {},
+		"kick":     func(c net.Conn) { c.SetDeadline(time.Unix(1, 0)) },
+		"close":    func(c net.Conn) { c.Close() },
+	} {
+		c, err := d.Dial(context.Background(), addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wait := 50 * time.Millisecond
+		if name == "deadline" {
+			c.SetDeadline(time.Now().Add(wait))
+		} else {
+			c.SetDeadline(time.Now().Add(time.Minute))
+			time.AfterFunc(wait, func() { unblock(c) })
+		}
+		start := time.Now()
+		_, err = c.Write([]byte("POST /invoke/echo HTTP/1.1\r\n"))
+		c.Close()
+		want := os.ErrDeadlineExceeded
+		if name == "close" {
+			want = net.ErrClosed
+		}
+		if !errors.Is(err, want) {
+			t.Fatalf("%s: want %v, got %v", name, want, err)
+		}
+		if time.Since(start) < wait-10*time.Millisecond {
+			t.Fatalf("%s: stall returned after %v", name, time.Since(start))
+		}
 	}
 	if hits.Load() != 0 {
 		t.Fatal("stalled request must not reach the worker")
@@ -133,17 +181,14 @@ func TestStallBlocksUntilContextCancel(t *testing.T) {
 
 func TestLatencyDelaysThenForwards(t *testing.T) {
 	var hits atomic.Int64
-	srv := testServer(t, &hits)
-	client := &http.Client{Transport: New(nil, 1,
-		&Rule{Fault: FaultLatency, Latency: 60 * time.Millisecond})}
-
+	addr := testServer(t, &hits)
+	d := New(nil, 1, &Rule{Fault: FaultLatency, Latency: 60 * time.Millisecond})
 	start := time.Now()
-	resp, err := doInvoke(t, client, srv.URL)
+	c, _, _, err := dialInvoke(d, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	c.Close()
 	if d := time.Since(start); d < 55*time.Millisecond {
 		t.Fatalf("latency fault returned in %v, want >= 60ms", d)
 	}
@@ -152,80 +197,71 @@ func TestLatencyDelaysThenForwards(t *testing.T) {
 	}
 }
 
-func TestCountCapAndInvokeOnly(t *testing.T) {
+// TestCountCapPerRequest: a rule is charged once per request — also for
+// requests that share one kept-alive connection — and stops at its cap.
+func TestCountCapPerRequest(t *testing.T) {
 	var hits atomic.Int64
-	srv := testServer(t, &hits)
-	rule := &Rule{Fault: FaultRefused, Count: 2}
-	tr := New(nil, 1, rule)
-	client := &http.Client{Transport: tr}
-
-	for i := 0; i < 2; i++ {
-		if _, err := doInvoke(t, client, srv.URL); err == nil {
-			t.Fatalf("request %d should be refused", i)
+	addr := testServer(t, &hits)
+	rule := &Rule{Fault: FaultLatency, Latency: time.Millisecond, Count: 2}
+	d := New(nil, 1, rule)
+	c, br, _, err := dialInvoke(d, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := invoke(c, br); err != nil {
+			t.Fatal(err)
 		}
 	}
-	resp, err := doInvoke(t, client, srv.URL)
-	if err != nil {
-		t.Fatalf("after count cap, requests should pass: %v", err)
+	if rule.Fired() != 2 || d.Injected() != 2 || hits.Load() != 4 {
+		t.Fatalf("fired=%d injected=%d hits=%d want 2/2/4", rule.Fired(), d.Injected(), hits.Load())
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if rule.Fired() != 2 || tr.Injected() != 2 {
-		t.Fatalf("fired=%d injected=%d want 2/2", rule.Fired(), tr.Injected())
-	}
-
-	// Non-invoke paths (health polls) bypass injection entirely.
-	rule2 := &Rule{Fault: FaultRefused}
-	client2 := &http.Client{Transport: New(nil, 1, rule2)}
-	resp, err = client2.Get(srv.URL + "/readyz")
-	if err != nil {
-		t.Fatalf("health poll must bypass chaos: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
 }
 
 func TestWorkerTargeting(t *testing.T) {
 	var hitsA, hitsB atomic.Int64
-	srvA := testServer(t, &hitsA)
-	srvB := testServer(t, &hitsB)
-	hostA := strings.TrimPrefix(srvA.URL, "http://")
-	client := &http.Client{Transport: New(nil, 1, &Rule{Worker: hostA, Fault: FaultRefused})}
+	addrA := testServer(t, &hitsA)
+	addrB := testServer(t, &hitsB)
+	d := New(nil, 1, &Rule{Worker: addrA, Fault: FaultRefused})
 
-	if _, err := doInvoke(t, client, srvA.URL); err == nil {
+	if _, _, _, err := dialInvoke(d, addrA); err == nil {
 		t.Fatal("worker A should be refused")
 	}
-	resp, err := doInvoke(t, client, srvB.URL)
+	c, _, _, err := dialInvoke(d, addrB)
 	if err != nil {
 		t.Fatalf("worker B should be untouched: %v", err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	c.Close()
 	if hitsA.Load() != 0 || hitsB.Load() != 1 {
 		t.Fatalf("hitsA=%d hitsB=%d want 0/1", hitsA.Load(), hitsB.Load())
 	}
 }
 
+// TestProbabilityDeterministic: the same seed, rules and request order
+// against the same host replay the same faults.
 func TestProbabilityDeterministic(t *testing.T) {
-	run := func() int64 {
-		var hits atomic.Int64
-		srv := testServer(t, &hits)
-		rule := &Rule{Fault: FaultRefused, P: 0.5}
-		client := &http.Client{Transport: New(nil, 42, rule)}
+	var hits atomic.Int64
+	addr := testServer(t, &hits)
+	run := func() (pattern string) {
+		d := New(nil, 42, &Rule{Fault: FaultRefused, P: 0.5})
 		for i := 0; i < 40; i++ {
-			if resp, err := doInvoke(t, client, srv.URL); err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
+			c, _, _, err := dialInvoke(d, addr)
+			if err != nil {
+				pattern += "x"
+				continue
 			}
+			pattern += "."
+			c.Close()
 		}
-		return rule.Fired()
+		return pattern
 	}
-	// NOTE: the per-host RNG is seeded by seed^hash(host); two servers on
-	// different ports draw different streams, so we only assert the roll
-	// count is plausible, not byte-identical across runs.
-	fired := run()
-	if fired == 0 || fired == 40 {
-		t.Fatalf("p=0.5 fired %d/40 — roll not applied", fired)
+	first := run()
+	if n := strings.Count(first, "x"); n == 0 || n == 40 {
+		t.Fatalf("p=0.5 fired %d/40 — roll not applied", n)
+	}
+	if second := run(); second != first {
+		t.Fatalf("same seed, different faults:\n%s\n%s", first, second)
 	}
 }
 

@@ -26,10 +26,13 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,10 +70,12 @@ type Config struct {
 	// possible — so the bound is also the dispatcher's memory guard.
 	MaxBodyBytes int64
 
-	// Client overrides the forwarding HTTP client (tests). The default
-	// keeps a large idle pool per worker so steady-state forwarding rides
-	// keep-alive connections.
-	Client *http.Client
+	// Dial opens a connection to a worker for the invoke relay (default: a
+	// plain TCP dial). It is the seam where the relay touches the network:
+	// chaos.Dialer plugs in here and hands back fault-injecting
+	// connections. Health polls and the /statsz fan-out do not go through
+	// it.
+	Dial func(ctx context.Context, addr string) (net.Conn, error)
 
 	// DisableIdempotency stops the dispatcher from stamping a generated
 	// X-Jord-Idempotency-Key on keyless invocations. With keys on (the
@@ -104,21 +109,19 @@ func (c *Config) normalize() {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{
-			Transport: &http.Transport{
-				MaxIdleConns:        4096,
-				MaxIdleConnsPerHost: 1024,
-				IdleConnTimeout:     90 * time.Second,
-			},
+	if c.Dial == nil {
+		c.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
+			var nd net.Dialer
+			return nd.DialContext(ctx, "tcp", addr)
 		}
 	}
 }
 
 // worker is one jordd behind the dispatcher.
 type worker struct {
-	addr string
-	base string // "http://" + addr
+	addr    string
+	base    string // "http://" + addr, for the health and stats fetches
+	headMid string // the invoke request head between the function name and the body length
 
 	outstanding atomic.Int64  // dispatcher requests currently placed here
 	dispatched  atomic.Uint64 // lifetime placements
@@ -141,6 +144,11 @@ type worker struct {
 	lastErr  string
 	lastPoll time.Time
 	ready    readyzDoc // last successfully decoded /readyz
+
+	// idle is the LIFO pool of kept-alive relay connections (relay.go).
+	connMu sync.Mutex
+	idle   []*relayConn
+	gone   bool // removed from the set: returning connections are closed
 }
 
 // readyzDoc is the subset of the worker gateway's /readyz document the
@@ -165,10 +173,12 @@ func (w *worker) boundNow() int64 {
 // eject takes the worker out of placement on a passive signal (transport
 // failure, drain-marked 503, relay break), bumping the epoch so an
 // in-flight health poll cannot immediately re-admit it on stale evidence.
+// Its pooled connections are suspect too and go with it.
 func (w *worker) eject(err error) {
 	w.ejectEpoch.Add(1)
 	w.ejected.Store(true)
 	w.setErr(err)
+	w.closeIdle(false)
 }
 
 func (w *worker) setErr(err error) {
@@ -190,7 +200,7 @@ func (w *worker) admittable() bool {
 // Dispatcher spreads invocations across the worker set.
 type Dispatcher struct {
 	cfg    Config
-	client *http.Client
+	client *http.Client // health polls and the stats fan-out; never an invoke
 
 	mu      sync.RWMutex
 	workers []*worker
@@ -225,6 +235,9 @@ type Dispatcher struct {
 	dedupHits       atomic.Uint64
 	relayWorkerErrs atomic.Uint64
 	relayClientErrs atomic.Uint64
+	// relayRedials counts failures on a reused worker connection that one
+	// fresh dial absorbed (the worker had closed it: a restart, usually).
+	relayRedials atomic.Uint64
 
 	hedge *hedgeTracker
 
@@ -236,7 +249,7 @@ type Dispatcher struct {
 // begin health polling, and serve Handler() on a listener.
 func New(cfg Config) *Dispatcher {
 	cfg.normalize()
-	d := &Dispatcher{cfg: cfg, client: cfg.Client, started: time.Now(), hedge: newHedgeTracker()}
+	d := &Dispatcher{cfg: cfg, client: &http.Client{Transport: &http.Transport{}}, started: time.Now(), hedge: newHedgeTracker()}
 	for _, addr := range cfg.Workers {
 		d.workers = append(d.workers, d.newWorker(addr))
 	}
@@ -244,7 +257,8 @@ func New(cfg Config) *Dispatcher {
 }
 
 func (d *Dispatcher) newWorker(addr string) *worker {
-	w := &worker{addr: addr, base: "http://" + addr}
+	w := &worker{addr: addr, base: "http://" + addr,
+		headMid: " HTTP/1.1\r\nHost: " + addr + "\r\nContent-Length: "}
 	if d.cfg.Bound > 0 {
 		w.bound.Store(int64(d.cfg.Bound))
 	}
@@ -261,16 +275,20 @@ func (d *Dispatcher) Start() {
 	go d.healthLoop()
 }
 
-// Stop ends the health loop. In-flight forwards are unaffected; callers
-// stop traffic via their HTTP server's Shutdown.
+// Stop ends the health loop and closes the idle worker connections.
+// In-flight forwards are unaffected; callers stop traffic via their HTTP
+// server's Shutdown.
 func (d *Dispatcher) Stop() {
-	if d.healthStop == nil {
-		return
+	if d.healthStop != nil {
+		close(d.healthStop)
+		<-d.healthDone
+		d.healthStop = nil
+		d.healthDone = nil
 	}
-	close(d.healthStop)
-	<-d.healthDone
-	d.healthStop = nil
-	d.healthDone = nil
+	for _, w := range d.snapshot() {
+		w.closeIdle(false)
+	}
+	d.client.CloseIdleConnections()
 }
 
 // SetDraining flips the dispatcher-level drain signal: /invoke refuses
@@ -309,7 +327,7 @@ func retryAfter(w http.ResponseWriter, d time.Duration) {
 	if secs < 1 {
 		secs = 1
 	}
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
+	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 }
 
 // bodyPool recycles request-body buffers; a buffered body is what makes
@@ -428,6 +446,7 @@ func (d *Dispatcher) RemoveWorker(addr string, force bool) error {
 		ws = append(ws, d.workers[:i]...)
 		ws = append(ws, d.workers[i+1:]...)
 		d.workers = ws
+		w.closeIdle(true)
 		return nil
 	}
 	return fmt.Errorf("cluster: unknown worker %s", addr)

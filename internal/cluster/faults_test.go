@@ -18,7 +18,7 @@ import (
 )
 
 // startFaultRig boots nWorkers real jordd daemons behind a dispatcher
-// whose transport injects the given fault schedule. The returned counter
+// whose worker connections inject the given fault schedule. The returned counter
 // counts REAL executions of the "count" function across all workers —
 // the ground truth for every at-most-once assertion.
 func startFaultRig(t *testing.T, nWorkers int, mut func(*Config),
@@ -42,7 +42,7 @@ func startFaultRig(t *testing.T, nWorkers int, mut func(*Config),
 		mut(&cfg)
 	}
 	if len(rules) > 0 {
-		cfg.Client = &http.Client{Transport: chaos.New(nil, 42, rules...)}
+		cfg.Dial = chaos.New(nil, 42, rules...).Dial
 	}
 	d = New(cfg)
 	front = httptest.NewServer(d.Handler())
@@ -179,15 +179,15 @@ func TestFaultResetMidBodyReplays(t *testing.T) {
 // fires after the (cold) hedge delay, lands on the healthy worker, and
 // the client is rescued long before the request timeout.
 func TestFaultStallHedgeRescue(t *testing.T) {
+	stall := &chaos.Rule{Fault: chaos.FaultStall, Count: 1}
 	front, d, addrs, calls := startFaultRig(t, 2,
 		func(c *Config) {
 			c.Hedge = true
 			c.HedgeDelay = 30 * time.Millisecond
-		})
-	// Swap in the chaos transport after rig construction so the rule can
-	// target the first worker's address (JBSQ ties break to it).
-	d.client = &http.Client{Transport: chaos.New(nil, 7,
-		&chaos.Rule{Worker: addrs[0], Fault: chaos.FaultStall, Count: 1})}
+		}, stall)
+	// The rule can name its target only once the rig has addresses: the
+	// first worker's (JBSQ ties break to it).
+	stall.Worker = addrs[0]
 
 	start := time.Now()
 	status, _, body := invokeCount(t, front.URL)
@@ -203,6 +203,15 @@ func TestFaultStallHedgeRescue(t *testing.T) {
 	}
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("executed %d times, want 1 (stalled request never arrived)", n)
+	}
+	// The loser is canceled, not left to the 10 s request timeout: its
+	// stalled write ends and the slot it held frees.
+	stalled := d.find(addrs[0])
+	for deadline := time.Now().Add(2 * time.Second); stalled.outstanding.Load() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("hedge loser still holds its slot 2 s after losing")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

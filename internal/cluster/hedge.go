@@ -1,8 +1,9 @@
 package cluster
 
 import (
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -13,7 +14,7 @@ import (
 // is left alone.
 const (
 	hedgeColdDelay = 50 * time.Millisecond // until enough samples exist
-	hedgeSampleMin = 16
+	hedgeSampleMin = 16                    // also how often the p95 is recomputed
 	hedgeRingSize  = 64
 	hedgeMinDelay  = 2 * time.Millisecond
 	hedgeMaxDelay  = 2 * time.Second
@@ -24,6 +25,9 @@ type latRing struct {
 	samples [hedgeRingSize]time.Duration
 	n       int // filled entries (caps at hedgeRingSize)
 	idx     int
+	seen    int // samples since the p95 was last recomputed
+
+	p95 atomic.Int64 // clamped p95 in ns; 0 until hedgeSampleMin samples exist
 }
 
 // hedgeTracker keeps a small ring of recent successful-invoke latencies
@@ -53,41 +57,37 @@ func (t *hedgeTracker) ring(fn string) *latRing {
 	return r
 }
 
+// observe records one successful latency and, every hedgeSampleMin
+// samples, recomputes the clamped p95 that delay hands out — sorting the
+// ring once per 16 requests instead of once per hedged request.
 func (t *hedgeTracker) observe(fn string, d time.Duration) {
 	r := t.ring(fn)
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.samples[r.idx] = d
 	r.idx = (r.idx + 1) % hedgeRingSize
 	if r.n < hedgeRingSize {
 		r.n++
 	}
-	r.mu.Unlock()
+	if r.seen++; r.seen < hedgeSampleMin {
+		return
+	}
+	r.seen = 0
+	tmp := r.samples
+	s := tmp[:r.n]
+	slices.Sort(s)
+	r.p95.Store(int64(min(max(s[r.n*95/100], hedgeMinDelay), hedgeMaxDelay)))
 }
 
 // delay reports how long to wait before hedging fn: the clamped p95 of
 // recent successes, or cold (0 = 50ms) until hedgeSampleMin samples
 // exist.
 func (t *hedgeTracker) delay(fn string, cold time.Duration) time.Duration {
+	if d := t.ring(fn).p95.Load(); d > 0 {
+		return time.Duration(d)
+	}
 	if cold <= 0 {
 		cold = hedgeColdDelay
 	}
-	r := t.ring(fn)
-	r.mu.Lock()
-	n := r.n
-	if n < hedgeSampleMin {
-		r.mu.Unlock()
-		return cold
-	}
-	tmp := make([]time.Duration, n)
-	copy(tmp, r.samples[:n])
-	r.mu.Unlock()
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	d := tmp[n*95/100]
-	if d < hedgeMinDelay {
-		d = hedgeMinDelay
-	}
-	if d > hedgeMaxDelay {
-		d = hedgeMaxDelay
-	}
-	return d
+	return cold
 }

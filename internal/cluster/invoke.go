@@ -1,54 +1,30 @@
 package cluster
 
 import (
-	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"time"
-
-	"context"
 
 	"jord/internal/server/gateway"
 )
 
-// workerResp is one worker response, buffered so it can be (a) discarded
-// and retried when the worker turns out to be draining, and (b) relayed
-// by whichever attempt wins a hedge race without two goroutines writing
-// the client connection.
-type workerResp struct {
-	status int
-	ctype  string
-	retryA string
-	drainM string
-	dedup  string
-	clen   int64 // advertised Content-Length (-1 unknown)
-	body   []byte
-	pooled *[]byte       // bodyPool buffer backing body
-	rest   io.ReadCloser // non-nil: body overflowed the buffer budget, stream the tail
+// attempt names one forward: where it goes, and in which role.
+type attempt struct {
+	wk    *worker
+	hedge bool // the hedged duplicate, or its same-worker replay
 }
 
-func (r *workerResp) release() {
-	if r.rest != nil {
-		r.rest.Close()
-		r.rest = nil
-	}
-	if r.pooled != nil {
-		bodyPool.Put(r.pooled)
-		r.pooled = nil
-	}
-	r.body = nil
-}
-
-// outcome is one attempt's result, reported to the dispatch loop.
+// outcome is one attempt's result, as the retry policy sees it.
 type outcome struct {
-	wk        *worker
-	resp      *workerResp
-	err       error
-	class     respClass
-	hedge     bool // this attempt was the hedged duplicate
-	sameRetry bool // this attempt was the same-worker idempotent replay
+	attempt
+	resp  *workerResp
+	class respClass // meaningful when err != nil
+	err   error
 }
 
 var errDrainMarked = errors.New("draining (marked 503)")
@@ -121,134 +97,154 @@ func (d *Dispatcher) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		payload = buf[:total]
 	}
 
-	ctx := r.Context()
+	// The worker-bound request head is rendered by hand, so nothing that
+	// could end a line may enter it. net/http has already refused such
+	// header values; fn arrives unescaped from the path.
+	contentType := r.Header.Get("Content-Type")
+	key := r.Header.Get(gateway.IdempotencyKeyHeader)
+	if strings.ContainsAny(contentType, "\r\n") || strings.ContainsAny(key, "\r\n") {
+		bodyPool.Put(pooled)
+		http.Error(w, "malformed header value", http.StatusBadRequest)
+		return
+	}
+	if !plainSegment(fn) {
+		fn = url.PathEscape(fn)
+	}
+	var deadline time.Time
 	if d.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d.cfg.RequestTimeout)
-		defer cancel()
+		deadline = time.Now().Add(d.cfg.RequestTimeout)
 	}
 
 	// Every invocation carries an idempotency key (client-supplied wins)
 	// so post-delivery failures can replay from the worker's dedup cache
-	// instead of double-executing.
-	key := r.Header.Get(gateway.IdempotencyKeyHeader)
+	// instead of double-executing. It has to ride the FIRST attempt: a key
+	// stamped only on the retry would find nothing registered to replay.
 	if key == "" && !d.cfg.DisableIdempotency {
 		key = newIdemKey()
 	}
-	d.dispatch(ctx, w, fn, r.Header.Get("Content-Type"), key, payload, pooled)
+	rl := relay{d: d, ctx: r.Context(), deadline: deadline, w: w,
+		fn: fn, contentType: contentType, key: key, payload: payload}
+	d.dispatch(&rl, pooled)
 }
 
-// dispatch runs the placement/retry/hedge loop for one buffered request.
-// It owns pooled: the buffer returns to the pool only after every
-// launched attempt has stopped reading payload.
-func (d *Dispatcher) dispatch(ctx context.Context, w http.ResponseWriter,
-	fn, contentType, key string, payload []byte, pooled *[]byte) {
+// plainSegment reports whether fn can stand in a request line as it is.
+func plainSegment(fn string) bool {
+	for i := 0; i < len(fn); i++ {
+		if c := fn[i]; !tokenByte[c] || c == '%' {
+			return false
+		}
+	}
+	return true
+}
 
+// relay is one client request on its way through placement: what is being
+// sent, and what has failed so far.
+type relay struct {
+	d           *Dispatcher
+	ctx         context.Context
+	deadline    time.Time // zero = none; set on every worker conn at acquire
+	w           http.ResponseWriter
+	fn          string
+	contentType string
+	key         string
+	payload     []byte
+
+	attempts   int
+	everHedged bool
+	// Both nil until the first failure: the common request never fails.
+	tried       map[*worker]bool // failed here; do not re-place
+	sameRetried map[*worker]bool // idempotent replay already tried here
+}
+
+// dispatch places one buffered request and sees it answered. It owns
+// pooled: the buffer returns to the pool only after every launched attempt
+// has stopped reading payload.
+//
+// With nothing to race, attempts run one after another on this (the
+// handler's) goroutine: no goroutine, channel or derived context per
+// request. Only a request that may be hedged goes through race.
+func (d *Dispatcher) dispatch(rl *relay, pooled *[]byte) {
+	wk := rl.place()
+	if wk == nil {
+		bodyPool.Put(pooled)
+		return
+	}
+	// Hedge only with a key: the duplicate may race a completed primary,
+	// and only the replay cache keeps that from double-executing.
+	if d.cfg.Hedge && rl.key != "" {
+		d.race(rl, wk, pooled)
+		return
+	}
+	for a, more := (attempt{wk: wk}), true; more; {
+		rl.attempts++
+		resp, class, err := d.forward(rl.ctx, rl.deadline, a.wk, rl.fn, rl.contentType, rl.key, rl.payload)
+		a.wk.outstanding.Add(-1)
+		a, more = rl.settle(outcome{a, resp, class, err}, 0)
+	}
+	bodyPool.Put(pooled)
+}
+
+// race is dispatch for a request that may be hedged: attempts run on
+// their own goroutines so a duplicate can be placed when the hedge timer
+// fires, the first clean response wins and the rest are canceled.
+func (d *Dispatcher) race(rl *relay, first *worker, pooled *[]byte) {
+	// Buffered for a primary, a hedge and their replays; more than that
+	// only makes a sender wait for the loop (or the drain below).
 	results := make(chan outcome, 8)
 	var cancels []context.CancelFunc
 	inflight := 0
-	attempts := 0
-	tried := make(map[*worker]bool)       // failed here; do not re-place
-	active := make(map[*worker]bool)      // attempt currently running here
-	sameRetried := make(map[*worker]bool) // idempotent replay already tried here
-	everHedged := false
+	active := make(map[*worker]bool) // attempt currently running here
 
 	defer func() {
 		for _, c := range cancels {
 			c()
 		}
 		if inflight == 0 {
-			if pooled != nil {
-				bodyPool.Put(pooled)
-			}
+			bodyPool.Put(pooled)
 			return
 		}
 		// Losing attempts are still running (hedge losers, canceled
 		// stragglers) and still read payload while their request write
 		// winds down: drain them off-path, then recycle the buffer.
-		n, p := inflight, pooled
-		go func() {
+		go func(n int) {
 			for i := 0; i < n; i++ {
 				if o := <-results; o.resp != nil {
 					o.resp.release()
 				}
 			}
-			if p != nil {
-				bodyPool.Put(p)
-			}
-		}()
+			bodyPool.Put(pooled)
+		}(inflight)
 	}()
 
-	launch := func(wk *worker, isHedge, sameRetry bool) {
-		attempts++
+	// The goroutines take copies: rl stays on the handler's stack.
+	ctx, deadline, fn, contentType, key, payload := rl.ctx, rl.deadline, rl.fn, rl.contentType, rl.key, rl.payload
+	launch := func(a attempt) {
+		rl.attempts++
 		inflight++
-		active[wk] = true
+		active[a.wk] = true
 		actx, cancel := context.WithCancel(ctx)
 		cancels = append(cancels, cancel)
 		go func() {
-			resp, err := d.forward(actx, wk, fn, contentType, key, payload)
-			wk.outstanding.Add(-1)
-			o := outcome{wk: wk, resp: resp, err: err, hedge: isHedge, sameRetry: sameRetry}
-			if err != nil {
-				o.class = classifyTransport(err)
-			}
-			results <- o
+			resp, class, err := d.forward(actx, deadline, a.wk, fn, contentType, key, payload)
+			a.wk.outstanding.Add(-1)
+			results <- outcome{a, resp, class, err}
 		}()
 	}
+	launch(attempt{wk: first})
 
-	// place reserves the best untried worker and launches an attempt; on
-	// refusal it writes the dispatcher's own verdict and reports false.
-	place := func() bool {
-		wk, anyReady := d.pick(tried)
-		if wk == nil {
-			switch {
-			case attempts > 0:
-				// At least one worker was tried and failed mid-stream;
-				// the remaining set is exhausted. 503: the CLUSTER could
-				// not serve this, distinct from per-request saturation.
-				d.lost.Add(1)
-				retryAfter(w, time.Second)
-				http.Error(w, "no worker could serve the request", http.StatusServiceUnavailable)
-			case anyReady:
-				// Ready workers exist but all sit at their JBSQ bound:
-				// the cluster is saturated, tell the client to back off.
-				d.rejectedBusy.Add(1)
-				retryAfter(w, time.Second)
-				http.Error(w, "cluster saturated: all workers at bound", http.StatusTooManyRequests)
-			default:
-				d.rejectedDown.Add(1)
-				retryAfter(w, time.Second)
-				http.Error(w, "no ready workers", http.StatusServiceUnavailable)
-			}
-			return false
-		}
-		launch(wk, false, false)
-		return true
-	}
-
-	if !place() {
-		return
-	}
-
-	// Hedge only with a key: the duplicate may race a completed primary,
-	// and only the replay cache keeps that from double-executing.
-	var hedgeC <-chan time.Time
-	if d.cfg.Hedge && key != "" {
-		t := time.NewTimer(d.hedge.delay(fn, d.cfg.HedgeDelay))
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
+	t := time.NewTimer(d.hedge.delay(fn, d.cfg.HedgeDelay))
+	defer t.Stop()
+	hedgeC := t.C
 	for {
 		select {
 		case <-ctx.Done():
-			http.Error(w, "deadline exceeded while dispatching", http.StatusGatewayTimeout)
+			http.Error(rl.w, "deadline exceeded while dispatching", http.StatusGatewayTimeout)
 			return
 
 		case <-hedgeC:
 			hedgeC = nil
-			excl := make(map[*worker]bool, len(tried)+len(active))
-			for wk := range tried {
+			excl := make(map[*worker]bool, len(rl.tried)+len(active))
+			for wk := range rl.tried {
 				excl[wk] = true
 			}
 			for wk := range active {
@@ -256,92 +252,136 @@ func (d *Dispatcher) dispatch(ctx context.Context, w http.ResponseWriter,
 			}
 			if hw, _ := d.pick(excl); hw != nil {
 				d.hedgesIssued.Add(1)
-				everHedged = true
-				launch(hw, true, false)
+				rl.everHedged = true
+				launch(attempt{wk: hw, hedge: true})
 			}
 
 		case o := <-results:
 			inflight--
 			delete(active, o.wk)
-
-			if o.err == nil {
-				if o.resp.status == http.StatusServiceUnavailable && o.resp.drainM != "" &&
-					d.untriedOthers(o.wk, tried) > 0 {
-					// This worker is going away; that is a placement
-					// problem, not an answer. Eject it and try the rest of
-					// the fleet. Only when NO other worker can take the
-					// request does the drain 503 fall through to the client.
-					o.resp.release()
-					o.wk.eject(errDrainMarked)
-					tried[o.wk] = true
-					d.drainRetries.Add(1)
-					if inflight == 0 && !place() {
-						return
-					}
-					continue
-				}
-				// First clean response wins; everything else is canceled by
-				// the deferred cancels on return.
-				d.finish(w, o, everHedged)
+			next, more := rl.settle(o, inflight)
+			if !more {
 				return
 			}
-
-			switch o.class {
-			case classCtx:
-				if ctx.Err() != nil {
-					if inflight > 0 {
-						continue
-					}
-					http.Error(w, "deadline exceeded while dispatching", http.StatusGatewayTimeout)
-					return
-				}
-				// A per-attempt cancellation without the request deadline
-				// firing: treat like a safe transport failure.
-				fallthrough
-
-			case classSafe:
-				// The request never reached the worker: eject passively
-				// (the health loop re-admits once /readyz answers again)
-				// and re-place anywhere.
-				o.wk.eject(o.err)
-				tried[o.wk] = true
-				d.errRetries.Add(1)
-				if inflight == 0 && !place() {
-					return
-				}
-
-			case classUnsafe:
-				o.wk.eject(o.err)
-				if key != "" && !sameRetried[o.wk] {
-					// Delivered (or possibly delivered): the only retry that
-					// cannot double-execute targets the SAME worker, whose
-					// idempotency cache replays the completed response.
-					sameRetried[o.wk] = true
-					d.unsafeRetries.Add(1)
-					o.wk.outstanding.Add(1)
-					launch(o.wk, o.hedge, true)
-					continue
-				}
-				if key != "" {
-					// The same-worker replay failed too: the worker is gone
-					// and its replay cache died with it. Re-place elsewhere;
-					// if the dead worker completed the call in its final
-					// moment this is the documented at-least-once residue.
-					tried[o.wk] = true
-					d.errRetries.Add(1)
-					if inflight == 0 && !place() {
-						return
-					}
-					continue
-				}
-				// No idempotency key: a post-delivery failure is not safely
-				// retryable — the worker may have executed. Surface it.
-				d.unsafe502.Add(1)
-				http.Error(w, "upstream connection failed after request delivery; no idempotency key, not retried", http.StatusBadGateway)
-				return
+			if next.wk != nil {
+				launch(next)
 			}
 		}
 	}
+}
+
+// place reserves the best untried worker; when there is none it writes
+// the dispatcher's own verdict and returns nil.
+func (rl *relay) place() *worker {
+	d, w := rl.d, rl.w
+	wk, anyReady := d.pick(rl.tried)
+	if wk != nil {
+		return wk
+	}
+	switch {
+	case rl.attempts > 0:
+		// At least one worker was tried and failed mid-stream; the
+		// remaining set is exhausted. 503: the CLUSTER could not serve
+		// this, distinct from per-request saturation.
+		d.lost.Add(1)
+		retryAfter(w, time.Second)
+		http.Error(w, "no worker could serve the request", http.StatusServiceUnavailable)
+	case anyReady:
+		// Ready workers exist but all sit at their JBSQ bound: the
+		// cluster is saturated, tell the client to back off.
+		d.rejectedBusy.Add(1)
+		retryAfter(w, time.Second)
+		http.Error(w, "cluster saturated: all workers at bound", http.StatusTooManyRequests)
+	default:
+		d.rejectedDown.Add(1)
+		retryAfter(w, time.Second)
+		http.Error(w, "no ready workers", http.StatusServiceUnavailable)
+	}
+	return nil
+}
+
+// replace moves the request to another worker after o's worker failed it
+// — unless other attempts are still running, whose outcomes decide.
+func (rl *relay) replace(o outcome, inflight int) (next attempt, more bool) {
+	if rl.tried == nil {
+		rl.tried = make(map[*worker]bool)
+	}
+	rl.tried[o.wk] = true
+	if inflight > 0 {
+		return attempt{}, true
+	}
+	wk := rl.place()
+	return attempt{wk: wk}, wk != nil
+}
+
+// settle applies the retry policy to one finished attempt, with inflight
+// others still running. It answers the client when the request is decided.
+// next.wk non-nil is an attempt to launch; otherwise more reports whether
+// to wait for the attempts in flight (false: the request is answered).
+func (rl *relay) settle(o outcome, inflight int) (next attempt, more bool) {
+	d := rl.d
+	if o.err == nil {
+		if o.resp.status == http.StatusServiceUnavailable && len(o.resp.vals[hDraining]) > 0 &&
+			d.untriedOthers(o.wk, rl.tried) > 0 {
+			// This worker is going away; that is a placement problem, not
+			// an answer. Eject it and try the rest of the fleet. Only when
+			// NO other worker can take the request does the drain 503 fall
+			// through to the client.
+			o.resp.release()
+			o.wk.eject(errDrainMarked)
+			d.drainRetries.Add(1)
+			return rl.replace(o, inflight)
+		}
+		// First clean response wins; race cancels everything else on return.
+		d.finish(rl.w, o, rl.everHedged)
+		return attempt{}, false
+	}
+
+	switch o.class {
+	case classSafe:
+		// The request never reached the worker whole: eject passively (the
+		// health loop re-admits once /readyz answers again) and re-place
+		// anywhere.
+		o.wk.eject(o.err)
+		d.errRetries.Add(1)
+		return rl.replace(o, inflight)
+
+	case classUnsafe:
+		o.wk.eject(o.err)
+		switch {
+		case rl.key == "":
+			// No idempotency key: a post-delivery failure is not safely
+			// retryable — the worker may have executed. Surface it.
+			d.unsafe502.Add(1)
+			http.Error(rl.w, "upstream connection failed after request delivery; no idempotency key, not retried", http.StatusBadGateway)
+			return attempt{}, false
+		case !rl.sameRetried[o.wk]:
+			// Delivered (or possibly delivered): the only retry that cannot
+			// double-execute targets the SAME worker, whose idempotency
+			// cache replays the completed response.
+			if rl.sameRetried == nil {
+				rl.sameRetried = make(map[*worker]bool)
+			}
+			rl.sameRetried[o.wk] = true
+			d.unsafeRetries.Add(1)
+			o.wk.outstanding.Add(1)
+			return attempt{wk: o.wk, hedge: o.hedge}, true
+		}
+		// The same-worker replay failed too: the worker is gone and its
+		// replay cache died with it. Re-place elsewhere; if the dead worker
+		// completed the call in its final moment this is the documented
+		// at-least-once residue.
+		d.errRetries.Add(1)
+		return rl.replace(o, inflight)
+	}
+
+	// classCtx: the client left or the deadline passed. Not a worker
+	// failure; another attempt still running may yet answer.
+	if inflight > 0 {
+		return attempt{}, true
+	}
+	http.Error(rl.w, "deadline exceeded while dispatching", http.StatusGatewayTimeout)
+	return attempt{}, false
 }
 
 // untriedOthers counts admittable workers (other than wk) this request
@@ -356,91 +396,6 @@ func (d *Dispatcher) untriedOthers(wk *worker, tried map[*worker]bool) int {
 	return n
 }
 
-// forward sends one attempt and buffers the response (bounded). A body
-// that overflows MaxBodyBytes keeps rest open for streaming — an
-// overflowing response cannot be retried mid-stream anyway.
-func (d *Dispatcher) forward(ctx context.Context, wk *worker,
-	fn, contentType, key string, payload []byte) (*workerResp, error) {
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, wk.base+"/invoke/"+fn, bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.ContentLength = int64(len(payload))
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	if key != "" {
-		req.Header.Set(gateway.IdempotencyKeyHeader, key)
-	}
-	start := time.Now()
-	resp, err := d.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	wr := &workerResp{
-		status: resp.StatusCode,
-		ctype:  resp.Header.Get("Content-Type"),
-		retryA: resp.Header.Get("Retry-After"),
-		drainM: resp.Header.Get(gateway.DrainingHeader),
-		dedup:  resp.Header.Get(gateway.DedupHeader),
-		clen:   resp.ContentLength,
-	}
-	max := d.cfg.MaxBodyBytes
-	if cl := resp.ContentLength; cl >= 0 && cl <= max {
-		wr.pooled = getBody(cl)
-		wr.body = (*wr.pooled)[:cl]
-		if _, err := io.ReadFull(resp.Body, wr.body); err != nil {
-			resp.Body.Close()
-			wr.release()
-			// The head arrived but the body broke off (reset mid-body).
-			// Nothing has reached the client, so the dispatch loop can
-			// still retry this — classified unsafe, like any
-			// post-delivery break.
-			return nil, err
-		}
-		resp.Body.Close()
-	} else {
-		wr.pooled = getBody(32 << 10)
-		buf := (*wr.pooled)[:cap(*wr.pooled)]
-		total := 0
-	read:
-		for {
-			if total == len(buf) {
-				if int64(len(buf)) > max {
-					wr.body = buf[:total]
-					wr.rest = resp.Body
-					return wr, nil
-				}
-				grown := len(buf) * 2
-				if int64(grown) > max+1 {
-					grown = int(max + 1)
-				}
-				nb := make([]byte, grown)
-				copy(nb, buf)
-				*wr.pooled = nb
-				buf = nb
-			}
-			n, rerr := resp.Body.Read(buf[total:])
-			total += n
-			switch {
-			case rerr == io.EOF:
-				break read
-			case rerr != nil:
-				resp.Body.Close()
-				wr.release()
-				return nil, rerr
-			}
-		}
-		wr.body = buf[:total]
-		resp.Body.Close()
-	}
-	if wr.status == http.StatusOK && d.cfg.Hedge {
-		d.hedge.observe(fn, time.Since(start))
-	}
-	return wr, nil
-}
-
 // finish relays the winning response and settles the counters.
 func (d *Dispatcher) finish(w http.ResponseWriter, o outcome, everHedged bool) {
 	if o.hedge {
@@ -449,7 +404,7 @@ func (d *Dispatcher) finish(w http.ResponseWriter, o outcome, everHedged bool) {
 		d.hedgesWasted.Add(1)
 	}
 	resp := o.resp
-	if resp.dedup != "" {
+	if len(resp.vals[hDedup]) > 0 {
 		d.dedupHits.Add(1)
 	}
 	o.wk.dispatched.Add(1)
@@ -477,17 +432,10 @@ func (d *Dispatcher) finish(w http.ResponseWriter, o outcome, everHedged bool) {
 // no interpretation to worker verdicts it did not re-place.
 func (d *Dispatcher) writeResp(w http.ResponseWriter, r *workerResp) (clientErr, workerErr error) {
 	h := w.Header()
-	if r.ctype != "" {
-		h.Set("Content-Type", r.ctype)
-	}
-	if r.retryA != "" {
-		h.Set("Retry-After", r.retryA)
-	}
-	if r.drainM != "" {
-		h.Set(gateway.DrainingHeader, r.drainM)
-	}
-	if r.dedup != "" {
-		h.Set(gateway.DedupHeader, r.dedup)
+	for i, name := range relayedHeaders {
+		if v := r.vals[i]; len(v) > 0 {
+			h.Set(name, string(v))
+		}
 	}
 	if r.rest == nil {
 		h.Set("Content-Length", strconv.Itoa(len(r.body)))

@@ -1,54 +1,32 @@
 package cluster
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"errors"
-	"net"
 	"strconv"
 	"sync/atomic"
 )
 
-// respClass partitions transport failures by what the worker may have
-// seen — the whole retry policy hangs off this split.
+// respClass partitions failed attempts by what the worker may have seen —
+// the whole retry policy hangs off this split. forward assigns it from
+// how far the exchange got (see classify).
 type respClass int
 
 const (
 	// classSafe: the request never reached the worker complete (dial
-	// failure, reset while writing). Re-placing it cannot double-execute.
+	// failure, reset while writing). Re-placing it cannot double-execute:
+	// the body is Content-Length-framed and the worker gateway reads it
+	// with ReadFull, so a connection that broke mid-write leaves a short
+	// read the gateway turns into a 400 WITHOUT invoking the function.
 	classSafe respClass = iota
 	// classUnsafe: the failure happened after the request was delivered
 	// (reset while reading the response, truncated body). The worker may
 	// have executed; only an idempotency-keyed replay is safe.
 	classUnsafe
-	// classCtx: our own context fired (client deadline or hedge-loser
-	// cancellation). Not a worker failure at all.
+	// classCtx: our own context or deadline fired (client gone, request
+	// timeout, hedge-loser cancellation). Not a worker failure at all.
 	classCtx
 )
-
-// classifyTransport maps a client.Do (or response-body read) error onto
-// the retry-safety split.
-//
-// Write-side failures are safe because of how the worker gateway frames
-// requests: the body is Content-Length-framed and read with ReadFull, so
-// a connection that broke mid-write leaves a short read the gateway turns
-// into a 400 WITHOUT invoking the function. Read-side failures are unsafe
-// by construction — the response only exists because the invoke ran.
-func classifyTransport(err error) respClass {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return classCtx
-	}
-	var op *net.OpError
-	if errors.As(err, &op) {
-		switch op.Op {
-		case "dial", "write":
-			return classSafe
-		}
-	}
-	// Read errors, unexpected EOFs, protocol breakage: assume delivered.
-	return classUnsafe
-}
 
 // Idempotency keys: a random per-process prefix plus a counter. The
 // prefix keeps two dispatchers (or a restart) from colliding in a
@@ -65,5 +43,8 @@ var (
 )
 
 func newIdemKey() string {
-	return keyPrefix + "-" + strconv.FormatUint(keySeq.Add(1), 36)
+	var buf [32]byte // 16 prefix bytes, '-', at most 13 base-36 digits
+	b := append(buf[:0], keyPrefix...)
+	b = append(b, '-')
+	return string(strconv.AppendUint(b, keySeq.Add(1), 36))
 }

@@ -160,6 +160,7 @@ type Statsz struct {
 	DedupHits       uint64 `json:"dedup_hits"` // responses replayed from a worker cache
 	RelayErrsWorker uint64 `json:"relay_errors_worker"`
 	RelayErrsClient uint64 `json:"relay_errors_client"`
+	RelayRedials    uint64 `json:"relay_redials"` // stale pooled worker conns absorbed by a fresh dial
 
 	// Totals aggregates pool counters over workers that answered /statsz.
 	Totals struct {
@@ -216,6 +217,7 @@ func (d *Dispatcher) aggregateStatsz() Statsz {
 		DedupHits:         d.dedupHits.Load(),
 		RelayErrsWorker:   d.relayWorkerErrs.Load(),
 		RelayErrsClient:   d.relayClientErrs.Load(),
+		RelayRedials:      d.relayRedials.Load(),
 		WorkerState:       d.workerStatuses(),
 	}
 	doc.Workers = len(doc.WorkerState)
@@ -371,6 +373,8 @@ func (d *Dispatcher) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	metric("jord_dispatcher_relay_errors_total", "Relay failures after the response head, by failing side.", "counter")
 	fmt.Fprintf(&b, "jord_dispatcher_relay_errors_total{side=\"worker\"} %d\n", doc.RelayErrsWorker)
 	fmt.Fprintf(&b, "jord_dispatcher_relay_errors_total{side=\"client\"} %d\n", doc.RelayErrsClient)
+	metric("jord_dispatcher_relay_redials_total", "Failures on a reused worker connection absorbed by one fresh dial.", "counter")
+	fmt.Fprintf(&b, "jord_dispatcher_relay_redials_total %d\n", doc.RelayRedials)
 
 	metric("jord_dispatcher_worker_outstanding", "Outstanding requests per worker (JBSQ queue).", "gauge")
 	for _, ws := range doc.WorkerState {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"jord/internal/server/pool"
@@ -449,101 +451,127 @@ func TestClosedStore(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadersWriters is the -race workhorse: many reader PDs
-// snapshotting one key (crossing the promotion threshold repeatedly) while
-// writers Take/Commit and Put against it. Values carry their version so
-// readers can assert snapshot consistency.
+// TestConcurrentReadersWriters is the -race workhorse: reader PDs snapshot
+// one key without pause while a writer flips it between promoted and
+// demoted. The flips are driven in explicit phases — read past
+// PromoteAfter, see the promotion; write, see the demotion — so the test
+// asserts what the store must do, not what the scheduler happened to
+// interleave. Values carry their version so every reader can tell a torn
+// or in-place-mutated snapshot, and one snapshot is held across each flip.
 func TestConcurrentReadersWriters(t *testing.T) {
 	const (
-		readers = 8
-		writers = 2
-		rounds  = 400
+		readers      = 8
+		cycles       = 50
+		promoteAfter = 16
 	)
-	r := newRig(t, Config{PromoteAfter: 16}, readers+writers)
+	r := newRig(t, Config{PromoteAfter: promoteAfter}, readers+2)
 	st := r.st
+	holder, writer := r.pds[readers], r.pds[readers+1]
 
 	val := func(ver uint64) []byte { return []byte(fmt.Sprintf("v%020d", ver)) }
-	if _, err := st.Put(r.pds[0], "", router.StateGlobal, "k", val(1)); err != nil {
+	// check reads one snapshot to the end; the caller releases it.
+	check := func(sn router.StateSnap) error {
+		if !bytes.Equal(sn.Bytes(), val(sn.Version())) {
+			return fmt.Errorf("torn snapshot: v%d reads %q", sn.Version(), sn.Bytes())
+		}
+		return nil
+	}
+	if _, err := st.Put(writer, "", router.StateGlobal, "k", val(1)); err != nil {
 		t.Fatal(err)
 	}
 
-	var wg sync.WaitGroup
-	errs := make(chan error, readers+writers)
+	var (
+		wg   sync.WaitGroup
+		stop atomic.Bool
+		errs = make(chan error, readers)
+	)
 	for i := 0; i < readers; i++ {
 		pd := r.pds[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for n := 0; n < rounds; n++ {
+			for !stop.Load() {
 				sn, err := st.Get(pd, "", router.StateGlobal, "k")
-				if err != nil {
-					errs <- fmt.Errorf("get: %w", err)
-					return
-				}
-				// The bytes must be exactly the version the snapshot claims:
-				// torn or in-place-mutated values fail here.
-				if !bytes.Equal(sn.Bytes(), val(sn.Version())) {
-					errs <- fmt.Errorf("torn snapshot: v%d reads %q", sn.Version(), sn.Bytes())
+				if err == nil {
+					err = check(sn)
 					sn.ReleaseHold()
+				}
+				if err != nil {
+					errs <- err
 					return
 				}
-				sn.ReleaseHold()
+				// On one CPU nothing else would run until this goroutine's
+				// time slice ended: hand over after every read, so readers
+				// and the phases below interleave read by read.
+				runtime.Gosched()
 			}
 		}()
 	}
-	for i := 0; i < writers; i++ {
-		pd := r.pds[readers+i]
-		wg.Add(1)
-		go func(alt bool) {
-			defer wg.Done()
-			for n := 0; n < rounds; n++ {
-				if alt && n%2 == 0 {
-					tx, err := st.Take(pd, "", router.StateGlobal, "k")
-					if err != nil {
-						if errors.Is(err, ErrTaken) {
-							continue // the other writer owns it this instant
-						}
-						errs <- fmt.Errorf("take: %w", err)
-						return
-					}
-					if _, err := tx.Commit(val(tx.Version() + 1)); err != nil {
-						errs <- fmt.Errorf("commit: %w", err)
-						tx.ReleaseHold()
-						return
-					}
-					tx.ReleaseHold()
-					continue
-				}
-				tx, err := st.Take(pd, "", router.StateGlobal, "k")
-				if err != nil {
-					if errors.Is(err, ErrTaken) {
-						continue
-					}
-					errs <- fmt.Errorf("take: %w", err)
-					return
-				}
-				next := val(tx.Version() + 1)
-				if _, err := tx.Commit(next); err != nil {
-					errs <- fmt.Errorf("commit: %w", err)
-					tx.ReleaseHold()
-					return
-				}
-				tx.ReleaseHold()
-			}
-		}(i == 0)
+	fail := func(format string, args ...any) {
+		t.Helper()
+		stop.Store(true)
+		wg.Wait()
+		t.Fatalf(format, args...)
 	}
+
+	for c := uint64(0); c < cycles; c++ {
+		// Read past the threshold: whoever's read was the promoteAfter-th
+		// since the last write (ours or a reader's) promoted the key, once.
+		for n := 0; n < promoteAfter; n++ {
+			sn, err := st.Get(holder, "", router.StateGlobal, "k")
+			if err != nil {
+				fail("cycle %d: get: %v", c, err)
+			}
+			err = check(sn)
+			sn.ReleaseHold()
+			if err != nil {
+				fail("cycle %d: %v", c, err)
+			}
+			runtime.Gosched()
+		}
+		if got := st.StatsSnapshot(); got.Promotions != c+1 || got.Demotions != c {
+			fail("cycle %d, after %d reads: promotions/demotions %d/%d, want %d/%d",
+				c, promoteAfter, got.Promotions, got.Demotions, c+1, c)
+		}
+
+		// Hold a snapshot of the promoted key across the flip.
+		held, err := st.Get(holder, "", router.StateGlobal, "k")
+		if err != nil {
+			fail("cycle %d: get: %v", c, err)
+		}
+		// Write: taking the key demotes it; readers meanwhile are served
+		// the committed version.
+		tx, err := st.Take(writer, "", router.StateGlobal, "k")
+		if err != nil {
+			fail("cycle %d: take: %v", c, err)
+		}
+		if got := st.StatsSnapshot(); got.Demotions != c+1 {
+			fail("cycle %d, key taken: %d demotions, want %d", c, got.Demotions, c+1)
+		}
+		runtime.Gosched()
+		_, err = tx.Commit(val(tx.Version() + 1))
+		tx.ReleaseHold()
+		if err != nil {
+			fail("cycle %d: commit: %v", c, err)
+		}
+		runtime.Gosched()
+
+		err = check(held)
+		if held.Version() != c+1 {
+			err = fmt.Errorf("snapshot held across the write is v%d, want v%d", held.Version(), c+1)
+		}
+		held.ReleaseHold()
+		if err != nil {
+			fail("cycle %d: %v", c, err)
+		}
+	}
+	stop.Store(true)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-
-	stats := st.StatsSnapshot()
-	if stats.Promotions == 0 || stats.Demotions == 0 {
-		t.Fatalf("want promotion/demotion churn under contention, got %d/%d",
-			stats.Promotions, stats.Demotions)
-	}
-	if err := st.Delete(r.pds[0], "", router.StateGlobal, "k"); err != nil {
+	if err := st.Delete(writer, "", router.StateGlobal, "k"); err != nil {
 		t.Fatal(err)
 	}
 }
