@@ -320,16 +320,6 @@ func (s *Set) For(name string) *Breaker {
 	return s.m[name]
 }
 
-// ForBytes is For keyed by raw bytes — the zero-allocation edge's lookup.
-// The m[string(b)] form compiles to a map probe without materializing the
-// string, so the closed-path breaker check stays allocation-free.
-func (s *Set) ForBytes(name []byte) *Breaker {
-	if s == nil {
-		return nil
-	}
-	return s.m[string(name)]
-}
-
 // RecordFault counts one out-of-band failure (watchdog flag) against a
 // function's breaker. Shaped to plug directly into pool.Config.OnWatchdog.
 func (s *Set) RecordFault(name string) {

@@ -13,35 +13,28 @@ import (
 	"sync/atomic"
 	"time"
 
-	"jord/internal/server/pool"
 	"jord/internal/server/trace"
 )
 
-// Edge is the zero-allocation HTTP/1.1 front end: a purpose-built server
-// for the POST /invoke/{fn} fast path that takes a request from socket to
-// function and back without a single heap allocation per request. Go's
-// net/http cannot make that promise (it allocates request/header objects
-// per request by design), so the edge speaks just enough HTTP/1.1 itself —
-// the fasthttp approach, specialized further to jordd's two-endpoint
-// surface:
+// Edge is the zero-allocation HTTP/1.1 front end. Go's net/http allocates
+// request and header objects per request by design, so the edge speaks
+// just enough HTTP/1.1 itself — the fasthttp approach, specialized to
+// jordd's surface:
 //
-//   - POST /invoke/{fn}: parsed with ReadSlice (no line copies), function
-//     looked up via Registry.LookupBytes (no string materialization), body
-//     read with io.ReadFull straight into a per-connection pooled buffer
-//     that becomes the invocation's ArgBuf payload zero-copy, deadline
-//     managed by a recycled per-connection timer through pool.InvokeTimed
-//     (no context allocation), and the response written with one writev
-//     (net.Buffers) straight from the VMA-backed result bytes.
-//   - Everything else (GET /healthz, /readyz, /statsz, /varz, and any
-//     unrecognized request) delegates to the normal gateway handlers
-//     through a buffered adapter — the cold path, where allocations are
-//     irrelevant.
+//   - /invoke/{fn}, keyed or not: the head parsed in place with ReadSlice,
+//     as strictly as net/http reads it (FuzzEdgeRequestHead), then the
+//     gateway's one invoke pipeline (pipeline.go) on the connection's
+//     reusable invocation — body read straight into a per-connection
+//     buffer that becomes the ArgBuf payload zero-copy, deadline on a
+//     recycled per-connection timer through pool.InvokeTimed, the response
+//     one writev straight from the VMA-backed result bytes.
+//   - Everything else (the management GETs) delegates to the net/http
+//     handlers through a buffered adapter — the cold path.
 //
-// Keep-alive is supported (the steady state for load balancers and
-// benchmarks); per-CONNECTION state is pooled and reused across requests,
-// so the amortized per-request allocation count on the fast path is zero —
-// measured, not aspirational (see TestEdgeInvokeAllocs and the http_echo
-// scenario in jordbench).
+// Per-connection state is pooled and reused across requests and
+// connections, so the steady-state request allocates nothing, keyed or
+// not (TestEdgeInvokeAllocs, TestEdgeKeyedAllocs, the gateway.edge_*
+// benchmark rows).
 type Edge struct {
 	g   *Gateway
 	mux http.Handler // cold-path delegate, built once
@@ -65,11 +58,13 @@ type connState struct {
 	conn net.Conn
 	br   *bufio.Reader
 
-	wbuf  []byte // response head (and small error bodies)
-	body  []byte // request body; becomes the ArgBuf payload zero-copy
-	fname []byte // function name, copied out of the volatile read buffer
-	host  []byte // Host header, copied out of the volatile read buffer
-	ikey  []byte // idempotency key header, copied out of the read buffer
+	wbuf []byte // response head
+	msg  []byte // plain-text error body
+	body []byte // request body; becomes the ArgBuf payload zero-copy
+
+	head      reqHead
+	inv       invocation // the pipeline's view of the request; inv.cs == this
+	keepAlive bool
 
 	// nb is the writev pair (head + VMA-backed response). WriteTo CONSUMES
 	// a net.Buffers, so nb is rebuilt each response from the persistent
@@ -78,15 +73,6 @@ type connState struct {
 	nb    net.Buffers
 	nbArr [2][]byte
 
-	timer      *time.Timer // per-request deadline for InvokeTimed, recycled
-	timerArmed bool
-
-	// span is the per-request trace record for the fast path, embedded
-	// here (not on the stack) so handing its address to InvokeTimed can
-	// never force a heap allocation. The runtime adopts it at submit and
-	// hands it back with the completion; refusals publish it directly.
-	span trace.Span
-
 	// busy is true while a request is being processed; Shutdown only
 	// deadline-kicks conns parked between requests.
 	busy atomic.Bool
@@ -94,13 +80,14 @@ type connState struct {
 
 // csPool recycles connStates across connections.
 var csPool = sync.Pool{New: func() any {
-	return &connState{
-		br:    bufio.NewReaderSize(nil, 16<<10),
-		wbuf:  make([]byte, 0, 256),
-		fname: make([]byte, 0, 64),
-		host:  make([]byte, 0, 64),
-		ikey:  make([]byte, 0, 64),
+	cs := &connState{
+		br:   bufio.NewReaderSize(nil, 16<<10),
+		wbuf: make([]byte, 0, 256),
+		msg:  make([]byte, 0, 64),
+		head: reqHead{method: make([]byte, 0, 8), path: make([]byte, 0, 64), key: make([]byte, 0, 64)},
 	}
+	cs.inv.cs = cs
+	return cs
 }}
 
 // Serve accepts connections on ln until Shutdown closes it.
@@ -170,8 +157,8 @@ func (e *Edge) release(cs *connState) {
 	e.mu.Lock()
 	delete(e.conns, c)
 	e.mu.Unlock()
-	if cs.timer != nil {
-		cs.timer.Stop()
+	if cs.inv.timer != nil {
+		cs.inv.timer.Stop()
 	}
 	cs.conn = nil
 	cs.br.Reset(nil)
@@ -180,20 +167,11 @@ func (e *Edge) release(cs *connState) {
 	e.wg.Done()
 }
 
-// Header byte constants for allocation-free case-insensitive matching.
+// Byte constants for allocation-free matching.
 var (
-	hdrContentLength    = []byte("Content-Length")
-	hdrConnection       = []byte("Connection")
-	hdrExpect           = []byte("Expect")
-	hdrTransferEncoding = []byte("Transfer-Encoding")
-	hdrHost             = []byte("Host")
-	hdrIdemKey          = []byte(IdempotencyKeyHeader)
-	valClose            = []byte("close")
-	val100Continue      = []byte("100-continue")
-	pathInvoke          = []byte("/invoke/")
-	methodPost          = []byte("POST")
-	proto11             = []byte("HTTP/1.1")
-	continue100         = []byte("HTTP/1.1 100 Continue\r\n\r\n")
+	pathInvoke  = []byte("/invoke/")
+	methodPost  = []byte("POST")
+	continue100 = []byte("HTTP/1.1 100 Continue\r\n\r\n")
 )
 
 // serveConn runs the per-connection request loop.
@@ -229,14 +207,6 @@ func (e *Edge) markBusy(cs *connState) {
 	}
 }
 
-// reqHead is the parsed request envelope, filled per request.
-type reqHead struct {
-	contentLen     int64 // -1 = absent
-	wantClose      bool
-	expectContinue bool
-	chunked        bool
-}
-
 // serveOne reads, dispatches, and answers exactly one request. It returns
 // whether the connection should stay open.
 func (e *Edge) serveOne(cs *connState) (keepAlive bool, err error) {
@@ -252,257 +222,39 @@ func (e *Edge) serveOne(cs *connState) (keepAlive bool, err error) {
 	e.markBusy(cs)
 	defer cs.busy.Store(false)
 
-	line = trimCRLF(line)
-	sp1 := bytes.IndexByte(line, ' ')
-	if sp1 < 0 {
-		return false, cs.writeSimple(http.StatusBadRequest, "malformed request line", 0, false)
-	}
-	sp2 := bytes.IndexByte(line[sp1+1:], ' ')
-	if sp2 < 0 {
-		return false, cs.writeSimple(http.StatusBadRequest, "malformed request line", 0, false)
-	}
-	sp2 += sp1 + 1
-	method, path, proto := line[:sp1], line[sp1+1:sp2], line[sp2+1:]
-	http11 := bytes.Equal(proto, proto11)
-
-	// The fast path: POST /invoke/{fn}. The function name is copied into
-	// connection-owned scratch space because every subsequent ReadSlice may
-	// invalidate the request-line bytes.
-	fastPath := bytes.Equal(method, methodPost) && bytes.HasPrefix(path, pathInvoke)
-	if fastPath {
-		cs.fname = append(cs.fname[:0], path[len(pathInvoke):]...)
-	} else {
-		// Cold path (GET endpoints, anything else): reconstruct a request
-		// for the normal mux. Copies and allocations are fine here, but
-		// framing is not — serveCold must consume (or refuse-and-close)
-		// any declared body, or its bytes would be parsed as the next
-		// request line under keep-alive.
-		methodS, pathS := string(method), string(path)
-		var h reqHead
-		if err := e.readHead(cs, &h); err != nil {
-			return false, err
-		}
-		return e.serveCold(cs, methodS, pathS, http11, &h)
-	}
-
 	// Trace origin: after the request line is in hand (the blocking
 	// keep-alive read must not count) and before the header/body reads.
-	rec := e.g.Pool.Trace()
-	var tMark int64
-	if rec != nil {
-		tMark = rec.Now()
-		cs.span = trace.Span{FuncID: -1, External: true, StartNS: tMark}
+	h, inv := &cs.head, &cs.inv
+	inv.startSpan(e.g.Pool.Trace())
+	if status, err := parseHead(line, cs.br, h); status != 0 || err != nil {
+		if err != nil {
+			return false, err
+		}
+		return false, cs.writeSimple(status, http.StatusText(status), 0, false)
 	}
+	cs.keepAlive = h.http11 && !h.closeTok
+	inv.stamp(trace.StageParse)
 
-	var h reqHead
-	if err := e.readHead(cs, &h); err != nil {
-		return false, err
-	}
-	keepAlive = http11 && !h.wantClose
-	if rec != nil {
-		t := rec.Now()
-		cs.span.Stages[trace.StageParse] += t - tMark
-		tMark = t
-	}
-
-	// Keyed requests leave the zero-alloc path: idempotent replay rides
-	// the dedup cache shared with the net/http handler, so the edge
-	// PARSES the header without allocating (readHead) and FORWARDS the
-	// request through the cold-path delegate, key intact. This is the
-	// steady state behind a dispatcher, which keys EVERY request; the
-	// detour measures +0.8 µs and 5 allocs per 64 B echo against the
-	// keyless fast path (benchmark rows gateway.edge_keyed_us.64 vs
-	// gateway.edge_keyless_us.64).
-	if len(cs.ikey) > 0 && e.g.Dedup != nil {
-		return e.serveCold(cs, "POST", "/invoke/"+string(cs.fname), http11, &h)
-	}
-
-	// Header-derived refusals, before any body byte moves:
-	// declared-oversized payloads must not cost pool memory or bandwidth
-	// (the connection closes — the body is unread on the wire), and
-	// chunked bodies belong to the net/http gateway, not the fast path.
-	if h.contentLen > e.g.maxBody() {
-		return false, cs.writeSimple(http.StatusRequestEntityTooLarge, "payload too large", 0, false)
+	// Every /invoke/ request, keyed or not, runs the invoke pipeline on
+	// this connection's invocation; the mux sees only the management
+	// routes. Header-derived framing refusals come first: chunked bodies
+	// belong to the net/http gateway, not the edge, and the connection
+	// closes (the body is unread on the wire).
+	if !bytes.HasPrefix(h.path, pathInvoke) {
+		return e.serveCold(cs, h)
 	}
 	if h.chunked || h.contentLen < 0 {
 		return false, cs.writeSimple(http.StatusLengthRequired, "content-length required", 0, false)
 	}
-	cl := int(h.contentLen)
-
-	if e.draining.Load() || e.g.Pool.Draining() {
-		refuseTrace(rec, cs, tMark)
-		return cs.reject(&h, keepAlive, http.StatusServiceUnavailable, "draining", 5, true)
+	inv.fn, inv.key = h.path[len(pathInvoke):], h.key
+	inv.contentLen, inv.expectContinue = h.contentLen, h.expectContinue
+	inv.oversized, inv.bodyRead = h.contentLen > e.g.maxBody(), false
+	if bytes.Equal(h.method, methodPost) {
+		err = e.g.invoke(inv)
+	} else {
+		err = inv.fail(http.StatusMethodNotAllowed, "method not allowed", 0, false)
 	}
-
-	def := e.g.Reg.LookupBytes(cs.fname)
-	if def == nil {
-		refuseTrace(rec, cs, tMark)
-		return cs.reject(&h, keepAlive, http.StatusNotFound, "unknown function", 0, false)
-	}
-	if rec != nil {
-		cs.span.FuncID = int32(def.ID)
-	}
-
-	// Circuit breaker, then admission — the same order and semantics as
-	// handleInvoke, lookup via bytes so the closed path stays alloc-free.
-	var (
-		brk   = e.g.Breakers.ForBytes(cs.fname)
-		probe bool
-	)
-	if brk != nil {
-		p, ok, retry := brk.Allow(time.Now())
-		if !ok {
-			refuseTrace(rec, cs, tMark)
-			return cs.reject(&h, keepAlive, http.StatusServiceUnavailable, "circuit open", retrySecs(retry), false)
-		}
-		probe = p
-	}
-	if !e.g.Adm.TryAdmit() {
-		if probe {
-			brk.CancelProbe()
-		}
-		refuseTrace(rec, cs, tMark)
-		return cs.reject(&h, keepAlive, http.StatusTooManyRequests, "saturated", 1, false)
-	}
-	defer e.g.Adm.Release()
-	if rec != nil {
-		t := rec.Now()
-		cs.span.Stages[trace.StageAdmit] += t - tMark
-		tMark = t
-	}
-
-	if h.expectContinue {
-		if _, err := cs.conn.Write(continue100); err != nil {
-			if probe {
-				brk.CancelProbe()
-			}
-			return false, err
-		}
-	}
-
-	// Read the body straight into the connection's reusable buffer — the
-	// exact bytes the ArgBuf will alias, no intermediate copy or slice.
-	if cap(cs.body) < cl {
-		cs.body = make([]byte, cl)
-	}
-	payload := cs.body[:cl]
-	if _, err := io.ReadFull(cs.br, payload); err != nil {
-		if probe {
-			brk.CancelProbe()
-		}
-		return false, err
-	}
-	if rec != nil {
-		// The body read folds into parse: wire time, not runtime time.
-		t := rec.Now()
-		cs.span.Stages[trace.StageParse] += t - tMark
-		tMark = t
-	}
-
-	// Deadline via the connection's recycled timer: InvokeTimed selects on
-	// its channel directly, so no context (or timer) is allocated.
-	var (
-		deadline time.Time
-		expired  <-chan time.Time
-	)
-	if d := e.g.RequestTimeout; d > 0 {
-		deadline = time.Now().Add(d)
-		if cs.timer == nil {
-			cs.timer = time.NewTimer(d)
-		} else {
-			cs.timer.Reset(d)
-		}
-		cs.timerArmed = true
-		expired = cs.timer.C
-	}
-
-	var spp *trace.Span
-	if rec != nil {
-		spp = &cs.span
-	}
-	resp, abandoned, err := e.g.Pool.InvokeTimed(def, payload, deadline, expired, spp)
-
-	if cs.timerArmed {
-		cs.timerArmed = false
-		if abandoned {
-			// InvokeTimed consumed the fired tick; the timer is clean.
-		} else if !cs.timer.Stop() {
-			// Fired between completion and Stop: drain the stale tick so
-			// the next Reset cannot deliver it into a fresh invocation.
-			select {
-			case <-cs.timer.C:
-			default:
-			}
-		}
-	}
-	if abandoned {
-		// The runtime still owns the ArgBuf aliasing cs.body: surrender
-		// the buffer to the GC and start fresh next request (rare path).
-		cs.body = nil
-	}
-
-	if brk != nil {
-		e.g.recordOutcome(brk, probe, err)
-	}
-	if err != nil {
-		// Abandoned requests are published by the runtime when they finally
-		// finish (the canceled rule in pool.finish); everything else is the
-		// edge's to publish. A span the runtime never adopted (submit-time
-		// refusal) has no EndNS — classify and close it here.
-		if rec != nil && !abandoned {
-			sh := int(cs.span.Shard)
-			if cs.span.EndNS == 0 {
-				sh = -1
-				cs.span.EndNS = rec.Now()
-				switch {
-				case errors.Is(err, pool.ErrDegraded):
-					cs.span.Outcome = trace.OutcomeShed
-				case errors.Is(err, pool.ErrSaturated):
-					cs.span.Outcome = trace.OutcomeSaturated
-				default:
-					cs.span.Outcome = trace.OutcomeError
-				}
-			}
-			rec.Publish(sh, &cs.span)
-		}
-		return keepAlive, cs.writeInvokeError(err)
-	}
-
-	// Answer straight from the VMA-backed response bytes: build the head
-	// in connection scratch, then one writev for head + body.
-	b := cs.wbuf[:0]
-	b = append(b, "HTTP/1.1 200 OK\r\nContent-Length: "...)
-	b = strconv.AppendInt(b, int64(len(resp)), 10)
-	b = append(b, "\r\nContent-Type: application/octet-stream\r\n\r\n"...)
-	cs.wbuf = b
-	if err := cs.writev(b, resp); err != nil {
-		return false, err
-	}
-	if rec != nil {
-		// Response writev, stamped after the bytes hit the socket; then the
-		// completed span lands on the shard of the executor that finished it.
-		t := rec.Now()
-		if cs.span.EndNS > 0 {
-			cs.span.Stages[trace.StageResp] += t - cs.span.EndNS
-		}
-		cs.span.EndNS = t
-		rec.Publish(int(cs.span.Shard), &cs.span)
-	}
-	return keepAlive, nil
-}
-
-// refuseTrace closes and publishes a span for a request refused at the edge
-// (draining, unknown function, open breaker, admission). The time since the
-// last mark is charged to admit — the refusal verdict IS the admission work.
-func refuseTrace(rec *trace.Recorder, cs *connState, tMark int64) {
-	if rec == nil {
-		return
-	}
-	t := rec.Now()
-	cs.span.Stages[trace.StageAdmit] += t - tMark
-	cs.span.EndNS = t
-	cs.span.Outcome = trace.OutcomeRefused
-	rec.Publish(-1, &cs.span)
+	return cs.keepAlive, err
 }
 
 // writev writes head+body with one gathered write, rebuilding the
@@ -515,106 +267,180 @@ func (cs *connState) writev(head, body []byte) error {
 	return err
 }
 
-// errRefused marks a request readHead already answered (400/431): the
-// caller must close the connection without writing anything further. The
-// previous code returned writeSimple's error here — nil on a successful
-// write — so serveOne carried on and stacked a second response (e.g. 411)
-// onto the same request.
+// errRefused marks a request whose refusal is already written: the
+// caller writes nothing further.
 var errRefused = errors.New("edge: refusal already written")
 
-// readHead parses the header block into h, leaving the reader positioned
-// at the body. Unknown headers are skipped; only the five the edge acts on
-// are matched (case-insensitively, without copies).
-func (e *Edge) readHead(cs *connState, h *reqHead) error {
-	h.contentLen = -1
-	cs.host = cs.host[:0]
-	cs.ikey = cs.ikey[:0]
+// reqHead is one parsed request head. method, path and key are copied
+// into connection-owned scratch: the read buffer they came from is
+// invalidated by the next ReadSlice.
+type reqHead struct {
+	method, path, key []byte
+	http11            bool  // HTTP/1.1 (or a later 1.x): keep-alive by default
+	contentLen        int64 // -1 = absent
+	closeTok          bool  // a Connection header lists "close"
+	expectContinue    bool
+	chunked           bool // Transfer-Encoding present: never framed, always refused
+
+	sawHost, sawKey bool
+}
+
+// parseHead parses a request head — the request line (read by the caller,
+// which marks the connection busy in between) and the header block from
+// br — leaving br at the body. It is as strict as http.ReadRequest:
+// whatever it accepts, ReadRequest accepts with the same method, target,
+// framing, Connection and Expect verdicts and idempotency key (held to
+// that by FuzzEdgeRequestHead). Where the RFCs let a server refuse, it is
+// stricter: obs-fold, whitespace before a colon, a repeated Content-Length,
+// a target that is not an absolute path, an expectation other than
+// 100-continue, and versions other than HTTP/1.x are refused. status != 0
+// is the refusal to send before closing; err is a read error, after which
+// no response is possible.
+func parseHead(line []byte, br *bufio.Reader, h *reqHead) (status int, err error) {
+	*h = reqHead{method: h.method[:0], path: h.path[:0], key: h.key[:0], contentLen: -1}
+	method, rest, ok1 := bytes.Cut(trimCRLF(line), []byte{' '})
+	target, proto, ok2 := bytes.Cut(rest, []byte{' '})
+	if !ok1 || !ok2 || !isToken(method) || !originForm(target) {
+		return http.StatusBadRequest, nil
+	}
+	if len(proto) != 8 || string(proto[:7]) != "HTTP/1." || proto[7] < '0' || proto[7] > '9' {
+		return http.StatusHTTPVersionNotSupported, nil
+	}
+	h.http11 = proto[7] != '0'
+	h.method = append(h.method, method...)
+	h.path = append(h.path, target...)
 	for {
-		line, err := cs.br.ReadSlice('\n')
-		if err != nil {
-			if err == bufio.ErrBufferFull {
-				if werr := cs.writeSimple(http.StatusRequestHeaderFieldsTooLarge, "header too large", 0, false); werr != nil {
-					return werr
-				}
-				return errRefused
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			return http.StatusRequestHeaderFieldsTooLarge, nil
+		} else if err != nil {
+			return 0, err
+		}
+		if line = trimCRLF(line); len(line) == 0 {
+			return 0, nil
+		}
+		// A leading space or tab (obs-fold) or one before the colon fails
+		// the token test on the name.
+		name, val, ok := bytes.Cut(line, []byte{':'})
+		if !ok || !isToken(name) {
+			return http.StatusBadRequest, nil
+		}
+		val = TrimOWS(val)
+		for _, c := range val {
+			if c < ' ' && c != '\t' || c == 0x7f {
+				return http.StatusBadRequest, nil
 			}
-			return err
 		}
-		line = trimCRLF(line)
-		if len(line) == 0 {
-			return nil
-		}
-		colon := bytes.IndexByte(line, ':')
-		if colon < 0 {
-			continue
-		}
-		key, val := line[:colon], TrimOWS(line[colon+1:])
 		switch {
-		case bytes.EqualFold(key, hdrContentLength):
-			n, ok := ParseDecimal(val)
-			if !ok {
-				if werr := cs.writeSimple(http.StatusBadRequest, "bad content-length", 0, false); werr != nil {
-					return werr
-				}
-				return errRefused
+		case asciiFold(name, "Content-Length"):
+			if h.contentLen >= 0 {
+				return http.StatusBadRequest, nil
 			}
-			h.contentLen = n
-		case bytes.EqualFold(key, hdrConnection):
-			if bytes.EqualFold(val, valClose) {
-				h.wantClose = true
+			if h.contentLen, ok = ParseDecimal(val); !ok {
+				return http.StatusBadRequest, nil
 			}
-		case bytes.EqualFold(key, hdrExpect):
-			if bytes.EqualFold(val, val100Continue) {
-				h.expectContinue = true
-			}
-		case bytes.EqualFold(key, hdrTransferEncoding):
+		case asciiFold(name, "Transfer-Encoding"):
 			h.chunked = true
-		case bytes.EqualFold(key, hdrHost):
-			// Copied into connection scratch: the value's bytes live in
-			// the volatile read buffer, invalidated by the next ReadSlice.
-			cs.host = append(cs.host[:0], val...)
-		case bytes.EqualFold(key, hdrIdemKey):
-			cs.ikey = append(cs.ikey[:0], val...)
+		case asciiFold(name, "Connection"):
+			h.closeTok = h.closeTok || listHasToken(val, "close")
+		case asciiFold(name, "Host"):
+			if h.sawHost {
+				return http.StatusBadRequest, nil
+			}
+			h.sawHost = true
+		case asciiFold(name, "Expect"):
+			if !asciiFold(val, "100-continue") {
+				return http.StatusExpectationFailed, nil
+			}
+			h.expectContinue = true
+		case asciiFold(name, IdempotencyKeyHeader):
+			if !h.sawKey { // the first counts, as Header.Get reads it
+				h.sawKey, h.key = true, append(h.key, val...)
+			}
 		}
 	}
 }
 
-// discard consumes n unread body bytes so a refused request leaves the
-// connection aligned on the next request (keep-alive under rejection — the
-// retry-heavy overload pattern must not pay connection setup per 429).
-func (cs *connState) discard(n int) error {
-	if n <= 0 {
-		return nil
+// tokenByte marks the RFC 9110 tchar set: method and header-name bytes.
+var tokenByte = func() (t [256]bool) {
+	for _, c := range []byte("!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ") {
+		t[c] = true
 	}
-	_, err := cs.br.Discard(n)
-	return err
+	return t
+}()
+
+func isToken(b []byte) bool {
+	for _, c := range b {
+		if !tokenByte[c] {
+			return false
+		}
+	}
+	return len(b) > 0
 }
 
-// reject answers a refusal issued before any body byte was consumed. A
-// normal client has the declared body in flight, so it is discarded and
-// the connection kept alive. An Expect: 100-continue client has NOT sent
-// the body and is waiting for the interim response — blocking in Discard
-// would stall both sides until the client's expect timeout — so the final
-// status goes out immediately and the connection closes, which RFC 9110
-// §10.1.1 permits in place of the 100.
-func (cs *connState) reject(h *reqHead, keepAlive bool, status int, msg string, retry int, drain bool) (bool, error) {
-	if h.expectContinue {
-		return false, cs.writeSimple(status, msg, retry, drain)
+// originForm reports whether a request target is an absolute path (and
+// query) url.ParseRequestURI accepts: no control bytes, and every %-escape
+// in the path well formed.
+func originForm(t []byte) bool {
+	if len(t) == 0 || t[0] != '/' {
+		return false
 	}
-	if err := cs.discard(int(h.contentLen)); err != nil {
-		return false, err
+	for _, c := range t {
+		if c < ' ' || c == 0x7f {
+			return false
+		}
 	}
-	return keepAlive, cs.writeSimple(status, msg, retry, drain)
+	path, _, _ := bytes.Cut(t, []byte{'?'})
+	for i, c := range path {
+		if c == '%' && (i+2 >= len(path) || !isHex(path[i+1]) || !isHex(path[i+2])) {
+			return false
+		}
+	}
+	return true
 }
 
-// serveCold feeds a non-fast-path request through the regular gateway mux
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+// asciiFold is an ASCII-only case-insensitive comparison: unlike
+// bytes.EqualFold it never matches a non-ASCII byte (no "ſ" for "s"), as
+// net/http's token comparisons do not.
+func asciiFold(b []byte, s string) bool {
+	if len(b) != len(s) {
+		return false
+	}
+	for i, c := range b {
+		if l := c | 0x20; c != s[i] && (l != s[i]|0x20 || l < 'a' || l > 'z') {
+			return false
+		}
+	}
+	return true
+}
+
+// listHasToken reports whether a comma-separated header value lists token
+// (httpguts.HeaderValuesContainsToken, which net/http reads Connection
+// with).
+func listHasToken(v []byte, token string) bool {
+	for {
+		elem, rest, more := bytes.Cut(v, []byte{','})
+		if asciiFold(TrimOWS(elem), token) {
+			return true
+		}
+		if !more {
+			return false
+		}
+		v = rest
+	}
+}
+
+// serveCold feeds a non-invoke request through the regular gateway mux
 // via a buffered ResponseWriter, then serializes the result. Allocation
 // cost is irrelevant here; connection framing is not. A declared body is
 // read off the wire before the mux runs (so keep-alive stays aligned on a
 // request-line boundary), oversized or chunked bodies are refused with the
 // connection closing (never buffered), and Connection: close is honored.
-func (e *Edge) serveCold(cs *connState, method, path string, http11 bool, h *reqHead) (bool, error) {
-	keepAlive := http11 && !h.wantClose
+func (e *Edge) serveCold(cs *connState, h *reqHead) (bool, error) {
 	if h.chunked {
 		return false, cs.writeSimple(http.StatusLengthRequired, "content-length required", 0, false)
 	}
@@ -634,41 +460,20 @@ func (e *Edge) serveCold(cs *connState, method, path string, http11 bool, h *req
 		}
 		body = bytes.NewReader(buf)
 	}
-	req, err := http.NewRequest(method, "http://jordd"+path, body)
+	req, err := http.NewRequest(string(h.method), "http://jordd"+string(h.path), body)
 	if err != nil {
 		return false, cs.writeSimple(http.StatusBadRequest, "malformed request", 0, false)
-	}
-	if len(cs.host) > 0 {
-		req.Host = string(cs.host)
-	}
-	if len(cs.ikey) > 0 {
-		req.Header.Set(IdempotencyKeyHeader, string(cs.ikey))
 	}
 	cw := &coldWriter{h: make(http.Header), status: http.StatusOK}
 	e.mux.ServeHTTP(cw, req)
 
-	b := cs.wbuf[:0]
-	b = append(b, "HTTP/1.1 "...)
-	b = strconv.AppendInt(b, int64(cw.status), 10)
-	b = append(b, ' ')
-	b = append(b, http.StatusText(cw.status)...)
-	b = append(b, "\r\nContent-Length: "...)
-	b = strconv.AppendInt(b, int64(cw.buf.Len()), 10)
-	b = append(b, "\r\n"...)
-	for k, vs := range cw.h {
-		for _, v := range vs {
-			b = append(b, k...)
-			b = append(b, ": "...)
-			b = append(b, v...)
-			b = append(b, "\r\n"...)
-		}
-	}
-	b = append(b, "\r\n"...)
-	cs.wbuf = b
-	if err := cs.writev(b, cw.buf.Bytes()); err != nil {
+	head := bytes.NewBuffer(cs.startHead(cw.status, cw.buf.Len()))
+	_ = cw.h.Write(head)
+	head.WriteString("\r\n")
+	if err := cs.writev(head.Bytes(), cw.buf.Bytes()); err != nil {
 		return false, err
 	}
-	return keepAlive, nil
+	return cs.keepAlive, nil
 }
 
 // coldWriter is the minimal ResponseWriter behind serveCold.
@@ -691,63 +496,53 @@ func (w *coldWriter) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
-// writeSimple answers a status with a short plain-text body (retrySecs > 0
-// adds Retry-After; drain adds the DrainingHeader cluster marker), built
-// entirely in connection scratch — error paths stay allocation-free too,
-// so overload answers are as cheap as successes.
-func (cs *connState) writeSimple(status int, msg string, retrySecs int, drain bool) error {
-	b := cs.wbuf[:0]
-	b = append(b, "HTTP/1.1 "...)
+// startHead renders a status line and Content-Length into connection
+// scratch; the caller appends its headers and the blank line.
+func (cs *connState) startHead(status, n int) []byte {
+	b := append(cs.wbuf[:0], "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(status), 10)
 	b = append(b, ' ')
 	b = append(b, http.StatusText(status)...)
 	b = append(b, "\r\nContent-Length: "...)
-	b = strconv.AppendInt(b, int64(len(msg)+1), 10)
-	b = append(b, "\r\nContent-Type: text/plain; charset=utf-8\r\n"...)
-	if retrySecs > 0 {
+	b = strconv.AppendInt(b, int64(n), 10)
+	return append(b, "\r\n"...)
+}
+
+// writeResponse answers with body straight from its (VMA-backed) bytes:
+// the head in connection scratch — Retry-After seconds when retry > 0, the
+// DrainingHeader on drain, DedupHeader on a replay — then one writev for
+// head + body.
+func (cs *connState) writeResponse(status int, ctype string, body []byte, retry int, drain, replay bool) error {
+	b := cs.startHead(status, len(body))
+	if ctype != "" {
+		b = append(b, "Content-Type: "...)
+		b = append(b, ctype...)
+		b = append(b, "\r\n"...)
+	}
+	if retry > 0 {
 		b = append(b, "Retry-After: "...)
-		b = strconv.AppendInt(b, int64(retrySecs), 10)
+		b = strconv.AppendInt(b, int64(retry), 10)
 		b = append(b, "\r\n"...)
 	}
 	if drain {
-		b = append(b, DrainingHeader...)
-		b = append(b, ": 1\r\n"...)
+		b = append(b, DrainingHeader+": 1\r\n"...)
 	}
-	b = append(b, "\r\n"...)
-	b = append(b, msg...)
-	b = append(b, '\n')
-	cs.wbuf = b
-	_, err := cs.conn.Write(b)
-	return err
+	if replay {
+		b = append(b, DedupHeader+": 1\r\n"...)
+	}
+	if status == http.StatusMethodNotAllowed {
+		b = append(b, "Allow: POST\r\n"...)
+	}
+	cs.wbuf = append(b, "\r\n"...)
+	return cs.writev(cs.wbuf, body)
 }
 
-// writeInvokeError is writeInvokeError's status mapping for the edge path.
-func (cs *connState) writeInvokeError(err error) error {
-	switch {
-	case errors.Is(err, pool.ErrSaturated):
-		return cs.writeSimple(http.StatusTooManyRequests, "saturated", 1, false)
-	case errors.Is(err, pool.ErrDegraded):
-		return cs.writeSimple(http.StatusServiceUnavailable, "degraded", 1, false)
-	case errors.Is(err, pool.ErrDraining):
-		return cs.writeSimple(http.StatusServiceUnavailable, "draining", 5, true)
-	case errors.Is(err, pool.ErrUnknownFunction):
-		return cs.writeSimple(http.StatusNotFound, "unknown function", 0, false)
-	case errors.Is(err, context.DeadlineExceeded):
-		return cs.writeSimple(http.StatusGatewayTimeout, "deadline exceeded", 0, false)
-	case errors.Is(err, context.Canceled):
-		return cs.writeSimple(StatusClientClosedRequest, "client closed request", 0, false)
-	default:
-		return cs.writeSimple(http.StatusInternalServerError, err.Error(), 0, false)
-	}
-}
-
-// retrySecs converts a breaker's retry hint to whole seconds, minimum 1.
-func retrySecs(d time.Duration) int {
-	s := int((d + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
+// writeSimple answers a status with a short plain-text message, built in
+// connection scratch: error paths stay allocation-free too, so overload
+// answers are as cheap as successes.
+func (cs *connState) writeSimple(status int, msg string, retry int, drain bool) error {
+	cs.msg = append(append(cs.msg[:0], msg...), '\n')
+	return cs.writeResponse(status, textPlain, cs.msg, retry, drain, false)
 }
 
 func trimCRLF(b []byte) []byte {

@@ -6,7 +6,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -19,17 +21,11 @@ import (
 	"context"
 )
 
-// newEdgeRig builds a small live daemon stack served through the edge on a
-// loopback listener, returning its address and a shutdown func.
-func newEdgeRig(t *testing.T, pc pool.Config) (addr string, g *Gateway, stop func()) {
+// newRig serves reg through both transports of one live gateway — the
+// net/http mux on an httptest server and the edge on a loopback listener —
+// after opts adjust the gateway; stop shuts everything down.
+func newRig(t *testing.T, pc pool.Config, reg *router.Registry, opts ...func(*Gateway)) (muxURL, edgeAddr string, g *Gateway, stop func()) {
 	t.Helper()
-	reg := router.New()
-	reg.MustRegister("echo", func(ctx router.Ctx) ([]byte, error) {
-		return ctx.Payload(), nil
-	})
-	reg.MustRegister("fail", func(ctx router.Ctx) ([]byte, error) {
-		return nil, fmt.Errorf("intentional")
-	})
 	p := pool.New(pc, reg)
 	p.Start()
 	g = &Gateway{
@@ -40,6 +36,10 @@ func newEdgeRig(t *testing.T, pc pool.Config) (addr string, g *Gateway, stop fun
 		RequestTimeout: 5 * time.Second,
 		MaxBodyBytes:   1 << 20,
 	}
+	for _, o := range opts {
+		o(g)
+	}
+	srv := httptest.NewServer(g.Handler())
 	e := NewEdge(g)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -48,6 +48,7 @@ func newEdgeRig(t *testing.T, pc pool.Config) (addr string, g *Gateway, stop fun
 	done := make(chan error, 1)
 	go func() { done <- e.Serve(ln) }()
 	stop = func() {
+		srv.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := e.Shutdown(ctx); err != nil {
@@ -60,7 +61,22 @@ func newEdgeRig(t *testing.T, pc pool.Config) (addr string, g *Gateway, stop fun
 			t.Errorf("pool drain: %v", err)
 		}
 	}
-	return ln.Addr().String(), g, stop
+	return srv.URL, ln.Addr().String(), g, stop
+}
+
+// newEdgeRig builds a small live daemon stack (echo, fail) and returns its
+// edge address and a shutdown func.
+func newEdgeRig(t *testing.T, pc pool.Config) (addr string, g *Gateway, stop func()) {
+	t.Helper()
+	reg := router.New()
+	reg.MustRegister("echo", func(ctx router.Ctx) ([]byte, error) {
+		return ctx.Payload(), nil
+	})
+	reg.MustRegister("fail", func(ctx router.Ctx) ([]byte, error) {
+		return nil, fmt.Errorf("intentional")
+	})
+	_, addr, g, stop = newRig(t, pc, reg)
+	return addr, g, stop
 }
 
 func smallPool() pool.Config {
@@ -350,12 +366,49 @@ func TestEdgeColdConnectionClose(t *testing.T) {
 	}
 }
 
-// TestEdgeInvokeAllocs is the PR's headline invariant: the socket ->
-// function -> response path allocates nothing per request in steady state.
-// It measures whole-process allocation deltas (runtime.MemStats.Mallocs)
-// around a batch of raw-TCP keep-alive requests — covering the edge parse,
-// admission, breaker, pool submit, executor dispatch, ArgBuf transfer, and
+// edgeAllocsPerOp measures whole-process allocations per request
+// (runtime.MemStats.Mallocs deltas) around a batch of raw-TCP keep-alive
+// requests built by req — covering the edge parse, the invoke pipeline,
+// admission, breaker, pool submit, executor dispatch, ArgBuf transfer and
 // response write, not just a handler in isolation.
+func edgeAllocsPerOp(t *testing.T, addr string, req func(i int) []byte) float64 {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rbuf := make([]byte, 4096)
+	i := 0
+	roundtrip := func() {
+		i++
+		if _, err := c.Write(req(i)); err != nil {
+			t.Fatal(err)
+		}
+		// The whole response fits one read on loopback; parse-free drain.
+		if n, err := c.Read(rbuf); err != nil || !strings.HasPrefix(string(rbuf[:12]), "HTTP/1.1 200") {
+			t.Fatalf("response %q: %v", rbuf[:n], err)
+		}
+	}
+
+	// Warm up: connection state, pooled buffers, runner goroutines, map
+	// internals all reach steady state.
+	for i := 0; i < 200; i++ {
+		roundtrip()
+	}
+	const N = 2000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < N; i++ {
+		roundtrip()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / N
+}
+
+// TestEdgeInvokeAllocs is the edge's headline invariant: the socket ->
+// function -> response path allocates nothing per request in steady state.
 func TestEdgeInvokeAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement in -short")
@@ -365,47 +418,47 @@ func TestEdgeInvokeAllocs(t *testing.T) {
 	}
 	addr, _, stop := newEdgeRig(t, smallPool())
 	defer stop()
-
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	req := []byte("POST /invoke/echo HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\nhello world")
-	rbuf := make([]byte, 4096)
-	roundtrip := func() {
-		if _, err := c.Write(req); err != nil {
-			t.Fatal(err)
-		}
-		// The whole response fits one read on loopback; parse-free drain.
-		if _, err := c.Read(rbuf); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Warm up: connection state, pooled buffers, runner goroutines, map
-	// internals all reach steady state.
-	for i := 0; i < 200; i++ {
-		roundtrip()
-	}
-
-	const N = 2000
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < N; i++ {
-		roundtrip()
-	}
-	runtime.ReadMemStats(&after)
-	perOp := float64(after.Mallocs-before.Mallocs) / N
+	perOp := edgeAllocsPerOp(t, addr, func(int) []byte { return req })
 
 	// Tolerance absorbs runtime background noise (timer wheels, GC
 	// bookkeeping, netpoll) — the invariant is "no per-request allocation",
 	// i.e. the amortized count must be far below 1.
 	const tolerance = 0.05
-	t.Logf("edge invoke: %.4f allocs/op over %d requests", perOp, N)
+	t.Logf("edge invoke: %.4f allocs/op", perOp)
 	if perOp > tolerance {
 		t.Fatalf("edge invoke path allocates: %.4f allocs/op (want <= %.2f)", perOp, tolerance)
+	}
+}
+
+// TestEdgeKeyedAllocs: a keyed request — a fresh idempotency key each
+// time, as the dispatcher stamps them, through a cache small enough to
+// evict every request — stays on the allocation-free fast path.
+func TestEdgeKeyedAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement in -short")
+	}
+	if race {
+		t.Skip("race instrumentation allocates")
+	}
+	_, addr, calls, g, stop := newDedupRig(t)
+	defer stop()
+	var buf []byte
+	perOp := edgeAllocsPerOp(t, addr, func(i int) []byte {
+		buf = append(buf[:0], "POST /invoke/echo HTTP/1.1\r\nHost: x\r\n"+IdempotencyKeyHeader+": key-"...)
+		buf = strconv.AppendInt(buf, int64(i), 10)
+		buf = append(buf, "\r\nContent-Length: 2\r\n\r\nhi"...)
+		return buf
+	})
+	t.Logf("edge keyed invoke: %.4f allocs/op", perOp)
+	if n := calls.Load(); n != 2200 || g.Dedup.Hits() != 0 {
+		t.Fatalf("executions=%d hits=%d, want 2200 fresh executions", n, g.Dedup.Hits())
+	}
+	// Keys of up to 32 bytes (the dispatcher's are 30 at most) are copied
+	// into recycled cache entries: no allocation at all, same tolerance as
+	// the keyless path. A longer key would cost one, its string.
+	if perOp > 0.05 {
+		t.Fatalf("keyed edge path allocates: %.4f allocs/op (want <= 0.05)", perOp)
 	}
 }
 

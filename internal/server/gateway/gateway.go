@@ -8,14 +8,10 @@
 package gateway
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,17 +89,6 @@ func (g *Gateway) Handler() http.Handler {
 // "the fleet is saturated — pass the 503 through to the client".
 const DrainingHeader = "X-Jord-Draining"
 
-// retryAfter stamps the client-backoff hint every 429/503 carries. The
-// header is whole seconds, rounded up, minimum 1 — sub-second hints would
-// serialize as "0", which clients read as "retry immediately".
-func retryAfter(w http.ResponseWriter, d time.Duration) {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-}
-
 // Degraded reports whether the pool is inside its tiered-shedding band:
 // the free-PD supply is at or below the shed threshold, so external
 // admissions are being refused to protect internal (nested) progress.
@@ -119,11 +104,9 @@ func (g *Gateway) maxBody() int64 {
 	return 1 << 20
 }
 
-// bodyPool recycles request-body buffers so the /invoke read path does not
-// allocate a fresh slice per request. A buffer read here becomes the
-// invocation's ArgBuf payload zero-copy, so it may only return to the pool
-// once the runtime has certainly released the aliasing VMA — see
-// bodyRecyclable.
+// bodyPool recycles the net/http transport's request-body buffers. A
+// buffer becomes the invocation's ArgBuf payload zero-copy, so it returns
+// to the pool only if the invocation was not abandoned (see execute).
 var bodyPool = sync.Pool{New: func() any {
 	b := make([]byte, 32<<10)
 	return &b
@@ -138,276 +121,23 @@ func getBody(n int64) *[]byte {
 	return bp
 }
 
-// bodyRecyclable reports whether an Invoke outcome guarantees the runtime
-// no longer aliases the request's payload buffer. Every completed outcome
-// (success, function error, pre-submit refusal) qualifies: the ArgBuf was
-// released before Invoke returned. Deadline/cancel outcomes do NOT — they
-// may be ABANDONS, where the in-flight invocation still owns the ArgBuf
-// aliasing our buffer; those buffers are leaked to the GC (rare path) and
-// the pool simply allocates a fresh one later.
-func bodyRecyclable(err error) bool {
-	return !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled)
-}
-
+// handleInvoke is the net/http transport of the invoke pipeline.
 func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	fn := r.PathValue("fn")
-	if g.draining.Load() {
-		retryAfter(w, 5*time.Second)
-		w.Header().Set(DrainingHeader, "1")
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
+	inv := &invocation{
+		fn:         []byte(r.PathValue("fn")),
+		key:        []byte(r.Header.Get(IdempotencyKeyHeader)),
+		contentLen: r.ContentLength,
+		oversized:  r.ContentLength > g.maxBody(),
+		w:          w,
+		r:          r,
+		canceled:   r.Context().Done(),
 	}
-	if g.Reg.Lookup(fn) == nil {
-		http.Error(w, fmt.Sprintf("unknown function %q", fn), http.StatusNotFound)
-		return
-	}
-
-	// Idempotent replay before any resource is spent: a re-sent
-	// invocation (a dispatcher retrying across a broken connection) whose
-	// key already completed is answered from the cache — no admission
-	// slot, no pool work, no duplicated side effects.
-	ded, served := g.dedupBegin(w, r)
-	if served {
-		return
-	}
-	committed := false
-	if ded != nil {
-		defer func() {
-			if !committed {
-				g.Dedup.Abort(ded)
-			}
-		}()
-	}
-
-	// Circuit breaker first: a quarantined function is refused before it
-	// can consume an admission slot or pool resources.
-	var (
-		brk   *breaker.Breaker
-		probe bool
-	)
-	if b := g.Breakers.For(fn); b != nil {
-		p, ok, retry := b.Allow(time.Now())
-		if !ok {
-			retryAfter(w, retry)
-			http.Error(w, fmt.Sprintf("circuit open for %q", fn), http.StatusServiceUnavailable)
-			return
-		}
-		brk, probe = b, p
-	}
-
-	if !g.Adm.TryAdmit() {
-		if probe {
-			brk.CancelProbe() // the refusal says nothing about the function
-		}
-		retryAfter(w, time.Second)
-		http.Error(w, "saturated: too many requests in flight", http.StatusTooManyRequests)
-		return
-	}
-	defer g.Adm.Release()
-
-	// Declared-oversized payloads are refused BEFORE a single body byte is
-	// buffered: the 413 must not cost pool memory or read bandwidth.
-	if r.ContentLength > g.maxBody() {
-		if probe {
-			brk.CancelProbe()
-		}
-		http.Error(w, "payload too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-
-	var (
-		payload []byte
-		pooled  *[]byte
-	)
-	if cl := r.ContentLength; cl >= 0 {
-		// Known length within bounds: read straight into a pooled buffer
-		// that becomes the ArgBuf payload zero-copy.
-		pooled = getBody(cl)
-		payload = (*pooled)[:cl]
-		if _, err := io.ReadFull(r.Body, payload); err != nil {
-			bodyPool.Put(pooled)
-			if probe {
-				brk.CancelProbe()
-			}
-			http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-	} else {
-		// Unknown length (chunked): the rare compatibility path — buffer
-		// plainly, enforce the cap after the fact.
-		var err error
-		payload, err = io.ReadAll(io.LimitReader(r.Body, g.maxBody()+1))
-		if err != nil {
-			if probe {
-				brk.CancelProbe()
-			}
-			http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if int64(len(payload)) > g.maxBody() {
-			if probe {
-				brk.CancelProbe()
-			}
-			http.Error(w, "payload too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-	}
-
-	ctx := r.Context()
-	if g.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.RequestTimeout)
-		defer cancel()
-	}
-
-	resp, err := g.Pool.Invoke(ctx, fn, payload)
-	if brk != nil {
-		g.recordOutcome(brk, probe, err)
-	}
-	if err != nil {
-		if pooled != nil && bodyRecyclable(err) {
-			bodyPool.Put(pooled)
-		}
-		// A function-level failure is still a COMPLETED execution: record
-		// it so a retry replays the verdict instead of running the body a
-		// second time. Refusals and ambiguous outcomes abort instead (see
-		// invokeExecuted) and the retry re-executes.
-		if ded != nil && invokeExecuted(err) {
-			g.Dedup.Commit(ded, http.StatusInternalServerError, "text/plain; charset=utf-8", []byte(err.Error()+"\n"))
-			committed = true
-		}
-		g.writeInvokeError(w, err)
-		return
-	}
-	// Commit BEFORE writing to the client: the reason a retry exists is
-	// that this very write can fail mid-flight, and the replay must
-	// already be visible when the re-sent request races in.
-	if ded != nil {
-		g.Dedup.Commit(ded, http.StatusOK, "application/octet-stream", resp)
-		committed = true
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(resp)
+	inv.startSpan(g.Pool.Trace())
+	_ = g.invoke(inv)
 	// The response may alias the request buffer (echo-shaped functions);
 	// recycle only after the write has copied it out.
-	if pooled != nil {
-		bodyPool.Put(pooled)
-	}
-}
-
-// dedupBegin resolves a keyed request against the replay cache: it
-// either claims leadership (the caller executes and must Commit/Abort
-// the returned entry), replays a completed response (served=true), or
-// answers the client-gone error while waiting on a concurrent leader.
-// Unkeyed requests (or a nil cache) pass straight through.
-func (g *Gateway) dedupBegin(w http.ResponseWriter, r *http.Request) (e *dedupEntry, served bool) {
-	if g.Dedup == nil {
-		return nil, false
-	}
-	key := r.Header.Get(IdempotencyKeyHeader)
-	if key == "" {
-		return nil, false
-	}
-	for {
-		e, leader := g.Dedup.Begin(key)
-		if leader {
-			return e, false
-		}
-		// Single-flight: a concurrent request holds the key. Wait for its
-		// outcome rather than executing the same invocation twice.
-		select {
-		case <-e.Done():
-		case <-r.Context().Done():
-			g.writeInvokeError(w, r.Context().Err())
-			return nil, true
-		}
-		if status, ctype, body, ok := e.Result(); ok {
-			h := w.Header()
-			if ctype != "" {
-				h.Set("Content-Type", ctype)
-			}
-			h.Set(DedupHeader, "1")
-			w.WriteHeader(status)
-			_, _ = w.Write(body)
-			return nil, true
-		}
-		// The leader aborted without completing (refusal, cancellation):
-		// loop and race to become the next leader ourselves.
-	}
-}
-
-// invokeExecuted reports whether an Invoke error implies the function
-// body ran to completion — only those outcomes are recorded for replay.
-// Backpressure refusals say nothing about the invocation (a retry should
-// execute), and deadline/cancel outcomes are ambiguous: the invocation
-// may still be running, so recording a verdict could contradict a side
-// effect that lands later. Those paths keep at-least-once semantics.
-func invokeExecuted(err error) bool {
-	switch {
-	case errors.Is(err, pool.ErrSaturated), errors.Is(err, pool.ErrDegraded),
-		errors.Is(err, pool.ErrDraining), errors.Is(err, pool.ErrUnknownFunction),
-		errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return false
-	}
-	return true
-}
-
-// recordOutcome classifies one invocation result for the function's
-// breaker. Failures are signals the FUNCTION is sick: panics and blown
-// deadlines. Backpressure outcomes (saturation, degradation, drain, client
-// gone) say nothing about the function and are not recorded — for a probe
-// they release the slot so the next request probes again. Everything else,
-// including application errors the body returned deliberately, counts as
-// success: a function returning errors is working as programmed.
-func (g *Gateway) recordOutcome(brk *breaker.Breaker, probe bool, err error) {
-	switch {
-	case err == nil:
-		brk.Record(false, probe, time.Now())
-	case errors.Is(err, pool.ErrPanicked), errors.Is(err, context.DeadlineExceeded):
-		brk.Record(true, probe, time.Now())
-	case errors.Is(err, pool.ErrSaturated), errors.Is(err, pool.ErrDegraded),
-		errors.Is(err, pool.ErrDraining), errors.Is(err, context.Canceled):
-		if probe {
-			brk.CancelProbe()
-		}
-	default:
-		brk.Record(false, probe, time.Now())
-	}
-}
-
-// StatusClientClosedRequest is nginx's non-standard 499: the client went
-// away before the response was ready. Pool cancellations map onto it so
-// abandoned requests are accounted as client behavior, not server errors.
-const StatusClientClosedRequest = 499
-
-// writeInvokeError maps pool errors onto HTTP statuses: saturation is
-// backpressure (429), tiered degradation and drain are 503, deadlines are
-// gateway timeouts (504), cancellations are client-closed-request (499),
-// anything else — including isolation faults and function errors — is a
-// plain 500 with the message. Every 429/503 carries Retry-After.
-func (g *Gateway) writeInvokeError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, pool.ErrSaturated):
-		retryAfter(w, time.Second)
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-	case errors.Is(err, pool.ErrDegraded), errors.Is(err, state.ErrDegraded):
-		retryAfter(w, time.Second)
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.Is(err, pool.ErrDraining):
-		retryAfter(w, 5*time.Second)
-		w.Header().Set(DrainingHeader, "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.Is(err, pool.ErrUnknownFunction):
-		http.Error(w, err.Error(), http.StatusNotFound)
-	case errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
-	case errors.Is(err, context.Canceled):
-		// Usually unreachable over real HTTP (the client is gone), but it
-		// keeps the accounting honest for in-process callers and tests.
-		http.Error(w, "client closed request", StatusClientClosedRequest)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	if inv.pooled != nil {
+		bodyPool.Put(inv.pooled)
 	}
 }
 
@@ -464,7 +194,7 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	doc.Ready = !doc.Draining && !doc.Degraded
 	w.Header().Set("Content-Type", "application/json")
 	if !doc.Ready {
-		retryAfter(w, time.Second)
+		w.Header().Set("Retry-After", "1")
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	enc := json.NewEncoder(w)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -320,7 +321,7 @@ func TestIntervalRPS(t *testing.T) {
 		t.Fatalf("first scrape interval=%v lifetime=%v, want equal", fn1.IntervalRPS, fn1.ThroughputRPS)
 	}
 
-	time.Sleep(50 * time.Millisecond)
+	waitWindowOpen(t, g)
 	drive(t, client, base, "echo", 10)
 	s2 := g.Snapshot()
 	fn2 := findFunc(t, s2.Funcs, "echo")
@@ -333,7 +334,7 @@ func TestIntervalRPS(t *testing.T) {
 
 	// A quiet window must decay the interval rate to zero while the
 	// lifetime average stays positive.
-	time.Sleep(50 * time.Millisecond)
+	waitWindowOpen(t, g)
 	s3 := g.Snapshot()
 	fn3 := findFunc(t, s3.Funcs, "echo")
 	if fn3.IntervalRPS != 0 {
@@ -341,6 +342,24 @@ func TestIntervalRPS(t *testing.T) {
 	}
 	if fn3.ThroughputRPS <= 0 {
 		t.Fatalf("lifetime rps = %v, want > 0", fn3.ThroughputRPS)
+	}
+}
+
+// waitWindowOpen polls until the clock has moved past the previous
+// snapshot, so the next one measures a non-empty window (a zero-length one
+// falls back to the lifetime rate).
+func waitWindowOpen(t *testing.T, g *Gateway) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		g.snapMu.Lock()
+		open := time.Since(g.lastSnapAt) > 0
+		g.snapMu.Unlock()
+		if open {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("clock did not advance past the last snapshot")
+		}
 	}
 }
 

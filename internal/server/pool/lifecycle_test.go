@@ -121,13 +121,10 @@ func TestWaitAfterDeadline(t *testing.T) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	waitFor(t, "cascade teardown", func() bool { return p.Table().LivePDs() == 0 })
+	// The counters land in finish, which may trail the PD release: poll.
 	st := p.Stats()
-	if st.Expired.Load() == 0 {
-		t.Error("parent expiry not counted")
-	}
-	if st.Canceled.Load() == 0 {
-		t.Error("leaf cancellation not counted")
-	}
+	waitFor(t, "parent expiry counted", func() bool { return st.Expired.Load() > 0 })
+	waitFor(t, "leaf cancellation counted", func() bool { return st.Canceled.Load() > 0 })
 }
 
 // Drain racing a stampede of Invokes: every request either completes
@@ -198,10 +195,9 @@ func TestQueueSweepExpiry(t *testing.T) {
 	}
 	// The proof the SWEEPER did it (not a dequeue): the executor never
 	// freed up, yet the requests were finished out of the queues.
+	// Swept counts before the reaped request's finish counts it expired.
 	waitFor(t, "sweeper reap", func() bool { return p.Stats().Swept.Load() > 0 })
-	if got := p.Stats().Expired.Load(); got == 0 {
-		t.Error("expired requests not counted")
-	}
+	waitFor(t, "expired requests counted", func() bool { return p.Stats().Expired.Load() > 0 })
 	close(release)
 }
 

@@ -803,14 +803,14 @@ func (p *Pool) Invoke(ctx context.Context, fn string, payload []byte) ([]byte, e
 // context — the zero-allocation HTTP edge, which cannot afford
 // context.WithTimeout's allocations. def comes from Registry.Lookup or
 // LookupBytes; deadline may be zero (none); expired, when non-nil, is the
-// caller's own timer channel armed for that deadline (nil blocks that
-// select arm, i.e. wait forever).
+// caller's own timer channel armed for that deadline, and canceled, when
+// non-nil, fires when the caller is gone (nil blocks either select arm,
+// i.e. wait forever).
 //
-// On timeout the request is ABANDONED (abandoned=true, err =
-// context.DeadlineExceeded): the runtime still owns the request and its
-// ArgBuf, which may alias the caller's payload buffer — the caller must
-// treat that buffer as lost and must not drain/reuse the fired timer
-// channel entry it consumed here.
+// On timeout or cancellation the request is ABANDONED (abandoned=true, err
+// = context.DeadlineExceeded or context.Canceled): the runtime still owns
+// the request and its ArgBuf, which may alias the caller's payload buffer
+// — the caller must treat that buffer as lost.
 //
 // sp, when non-nil (and tracing is on), is the caller's pre-stamped trace
 // span (edge parse/admit stages): the runtime adopts it for the request's
@@ -818,7 +818,7 @@ func (p *Pool) Invoke(ctx context.Context, fn string, payload []byte) ([]byte, e
 // returning a completion, at which point the caller owns stamping the
 // response-write stage and publishing. On abandonment the span stays with
 // the runtime, which publishes the canceled trace itself at finish.
-func (p *Pool) InvokeTimed(def *router.Func, payload []byte, deadline time.Time, expired <-chan time.Time, sp *trace.Span) (resp []byte, abandoned bool, err error) {
+func (p *Pool) InvokeTimed(def *router.Func, payload []byte, deadline time.Time, expired <-chan time.Time, canceled <-chan struct{}, sp *trace.Span) (resp []byte, abandoned bool, err error) {
 	if !p.started.Load() {
 		return nil, false, errors.New("pool: not started")
 	}
@@ -844,6 +844,9 @@ func (p *Pool) InvokeTimed(def *router.Func, payload []byte, deadline time.Time,
 	case <-expired:
 		r.canceled.Store(true)
 		return nil, true, context.DeadlineExceeded
+	case <-canceled:
+		r.canceled.Store(true)
+		return nil, true, context.Canceled
 	}
 }
 
