@@ -18,11 +18,12 @@
 //	POST /invoke/{fn}  run a function; the body is its ArgBuf payload
 //	GET  /healthz      200 while serving, 503 while draining
 //	GET  /readyz       overload view: drain vs degraded vs open breakers
-//	GET  /statsz       live JSON counters and latency percentiles
-//	GET  /varz         runtime internals: pool config, PD supply, queues
+//	GET  /statsz       the one stats document: pool config, PD supply,
+//	                   queues, outcome counters, per-function percentiles
 //	GET  /tracez       per-invocation stage traces (slowest, errored, recent)
 //	GET  /flightz      flight-recorder incidents frozen at overload events
-//	GET  /metrics      the same counters in Prometheus text format
+//	GET  /metrics      /statsz in Prometheus text format, plus latency and
+//	                   stage-duration distributions
 //
 // Overload control (see README "Overload control & degraded modes"): the
 // admission cap is steered adaptively by queue delay (-admit-target, 0 to
@@ -40,7 +41,7 @@
 // -state-cap bounds its committed bytes (0 disables the tier entirely);
 // -state-global-ro-threshold is the read count at which a hot key promotes
 // to a global-RO mapping (the VTE G bit; 0 disables promotion). /statsz
-// and /varz carry the store's counters under "state".
+// carries the store's counters under "state".
 //
 // Built-in functions (a demo function set exercising the runtime,
 // including nested calls): echo, upper, hash, sleep, fanout, chain — plus,
@@ -123,7 +124,7 @@ func main() {
 	cfg.Pool.ExternalQueueCap = queueCap.Value()
 	cfg.Pool.NumPDs = numPDs.Value()
 	// The watchdog flags (never kills — cancellation is cooperative)
-	// invocations alive past the threshold, on /statsz and /varz counters.
+	// invocations alive past the threshold, on /statsz counters.
 	cfg.Pool.ExecTimeout = *execTimeout
 	cfg.Pool.PDShedMargin = *shedMargin
 	cfg.MaxInflight = maxInflight.Value()

@@ -30,8 +30,9 @@
 //
 //	POST /invoke/{fn}        dispatch a function invocation
 //	GET  /healthz /readyz    dispatcher liveness / aggregated readiness
-//	GET  /statsz /varz       placement counters + aggregated worker stats
-//	GET  /metrics            Prometheus text
+//	GET  /statsz             placement counters + the workers' additive
+//	                         counters summed under their own keys
+//	GET  /metrics            /statsz in Prometheus text format
 //	GET  /workers            per-worker placement state
 //	POST /workers/add?addr=     admit a new worker
 //	POST /workers/drain?addr=   stop placing on a worker (in-flight finish);

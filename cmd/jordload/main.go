@@ -18,7 +18,7 @@
 // prints per-stage latency attribution (parse/admit/queue/exec/...) plus
 // the slowest retained traces — pinpointing WHERE a slow p99 was spent.
 //
-// After the run jordload queries the server's /varz for its core and
+// After the run jordload queries the server's /statsz for its core and
 // executor counts and prints a per-core throughput summary: achieved ok
 // rps divided by the executors the server actually has cores for. With
 // -baseline-rps (the measured single-core throughput, e.g. from the
@@ -419,34 +419,31 @@ func printTraceSummary(client *http.Client, addr, fn string) {
 	}
 }
 
-// printCoreSummary asks the server (via /varz) how many cores and
+// printCoreSummary asks the server (via /statsz) how many cores and
 // executors it runs, then reports the achieved throughput per core and —
 // when a 1-core baseline is supplied — the scaling efficiency relative to
 // it. The denominator is min(executors, num_cpu): executors beyond the
-// machine's cores add no parallelism and must not flatter the number.
+// machine's cores add no parallelism and must not flatter the number. A
+// dispatcher's /statsz carries its workers' executors summed under the
+// same key, so the summary works against either tier.
 func printCoreSummary(client *http.Client, addr string, okRPS, baselineRPS float64) {
-	resp, err := client.Get(fmt.Sprintf("http://%s/varz", addr))
+	resp, err := client.Get(fmt.Sprintf("http://%s/statsz", addr))
 	if err != nil {
-		log.Printf("core summary unavailable (/varz: %v)", err)
+		log.Printf("core summary unavailable (/statsz: %v)", err)
 		return
 	}
 	defer resp.Body.Close()
-	var vz struct {
-		NumCPU     int `json:"num_cpu"`
-		GOMAXPROCS int `json:"gomaxprocs"`
-		Executors  int `json:"executors"`
-		Orch       int `json:"orchestrators"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&vz); err != nil || vz.Executors == 0 {
-		log.Printf("core summary unavailable (/varz decode: %v)", err)
+	var st gateway.Statsz
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || st.Executors == 0 {
+		log.Printf("core summary unavailable (/statsz decode: %v)", err)
 		return
 	}
-	effCores := vz.Executors
-	if vz.NumCPU > 0 && effCores > vz.NumCPU {
-		effCores = vz.NumCPU
+	effCores := st.Executors
+	if st.NumCPU > 0 && effCores > st.NumCPU {
+		effCores = st.NumCPU
 	}
 	fmt.Printf("server          %d executors / %d orchestrators, %d CPUs (GOMAXPROCS %d)\n",
-		vz.Executors, vz.Orch, vz.NumCPU, vz.GOMAXPROCS)
+		st.Executors, st.Orchestrators, st.NumCPU, st.GOMAXPROCS)
 	fmt.Printf("per-core        %.1f ok rps per core (%.1f ok rps over %d effective cores)\n",
 		okRPS/float64(effCores), okRPS, effCores)
 	if baselineRPS > 0 {

@@ -37,6 +37,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"jord/internal/server/gateway"
 )
 
 // DefaultBound is the per-worker outstanding bound used until the
@@ -143,24 +145,12 @@ type worker struct {
 	mu       sync.Mutex
 	lastErr  string
 	lastPoll time.Time
-	ready    readyzDoc // last successfully decoded /readyz
+	ready    gateway.Readyz // last successfully decoded /readyz
 
 	// idle is the LIFO pool of kept-alive relay connections (relay.go).
 	connMu sync.Mutex
 	idle   []*relayConn
 	gone   bool // removed from the set: returning connections are closed
-}
-
-// readyzDoc is the subset of the worker gateway's /readyz document the
-// dispatcher consumes. Kept local so the dispatcher binary does not
-// depend on the worker's internals beyond the wire format.
-type readyzDoc struct {
-	Ready        bool     `json:"ready"`
-	Draining     bool     `json:"draining"`
-	Degraded     bool     `json:"degraded"`
-	OpenBreakers []string `json:"open_breakers"`
-	Executors    int      `json:"executors"`
-	JBSQBound    int      `json:"jbsq_bound"`
 }
 
 func (w *worker) boundNow() int64 {
@@ -312,7 +302,6 @@ func (d *Dispatcher) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", d.handleHealthz)
 	mux.HandleFunc("GET /readyz", d.handleReadyz)
 	mux.HandleFunc("GET /statsz", d.handleStatsz)
-	mux.HandleFunc("GET /varz", d.handleVarz)
 	mux.HandleFunc("GET /metrics", d.handleMetrics)
 	mux.HandleFunc("GET /workers", d.handleWorkers)
 	mux.HandleFunc("POST /workers/add", d.handleWorkerAdd)

@@ -9,11 +9,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"jord/internal/metrics/promtest"
 	"jord/internal/server"
 	"jord/internal/server/pool"
 	"jord/internal/server/router"
@@ -460,8 +463,9 @@ func TestE2EAggregatedStats(t *testing.T) {
 	if doc.StatszWorkers != 2 {
 		t.Fatalf("statsz_workers = %d, want 2", doc.StatszWorkers)
 	}
-	if doc.Totals.PoolCompleted < n {
-		t.Fatalf("pool_completed total = %d, want >= %d", doc.Totals.PoolCompleted, n)
+	if doc.PoolCompleted < n || doc.Executors != 4 || doc.Orchestrators < 2 {
+		t.Fatalf("fleet sums: pool_completed=%d executors=%d orchestrators=%d, want >= %d, 4, >= 2",
+			doc.PoolCompleted, doc.Executors, doc.Orchestrators, n)
 	}
 	var echo *FuncTotals
 	for i := range doc.Funcs {
@@ -473,26 +477,91 @@ func TestE2EAggregatedStats(t *testing.T) {
 		t.Fatalf("aggregated echo totals missing or short: %+v", doc.Funcs)
 	}
 
-	// Both REAL workers should have taken a share under JBSQ: with 40
-	// sequential requests and empty queues the tie-break alternates as
-	// outstanding flips 0/1... at minimum neither worker can have taken
-	// everything while the other took none AND both be admittable; assert
-	// the aggregate saw both via /metrics' per-worker series instead.
+	// /metrics renders the same document: well-formed, every family
+	// pinned, the values the ones /statsz reported.
 	mresp, err := http.Get(front.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mresp.Body.Close()
-	mb, _ := io.ReadAll(mresp.Body)
-	for _, want := range []string{
-		"jord_dispatcher_up 1",
-		"jord_dispatcher_workers 2",
-		"jord_dispatcher_ready_workers 2",
-		fmt.Sprintf("jord_dispatcher_dispatched_total %d", n),
-		"jord_cluster_function_invocations_total{fn=\"echo\"}",
+	e := promtest.Parse(t, mresp.Body)
+	if got, want := strings.Join(e.Families, "\n"), strings.Join(dispatcherFamilies, "\n"); got != want {
+		t.Fatalf("dispatcher /metrics families changed:\n%s\nwant:\n%s", got, want)
+	}
+	for name, want := range map[string]float64{
+		"jord_dispatcher_draining":         0,
+		"jord_dispatcher_workers":          2,
+		"jord_dispatcher_ready_workers":    2,
+		"jord_dispatcher_dispatched_total": n,
+		"jord_dispatcher_statsz_workers":   2,
+		"jord_dispatcher_executors":        4,
 	} {
-		if !bytes.Contains(mb, []byte(want)) {
-			t.Errorf("/metrics missing %q", want)
+		if v, ok := e.Value(name, map[string]string{}); !ok || v != want {
+			t.Errorf("%s = %v (present %v), want %v", name, v, ok, want)
+		}
+	}
+	if v, _ := e.Value("jord_dispatcher_funcs_count_total", map[string]string{"name": "echo"}); v < n {
+		t.Errorf("fleet echo count = %v, want >= %d", v, n)
+	}
+	var placed float64
+	for _, addr := range []string{addr1, addr2} {
+		v, ok := e.Value("jord_dispatcher_worker_state_dispatched_total", map[string]string{"addr": addr})
+		if !ok {
+			t.Errorf("no dispatched series for worker %s", addr)
+		}
+		placed += v
+	}
+	if placed != n {
+		t.Errorf("per-worker dispatched sums to %v, want %d", placed, n)
+	}
+}
+
+// dispatcherFamilies is every family the dispatcher's /metrics carries, in
+// order.
+var dispatcherFamilies = []string{
+	"jord_dispatcher_ready", "jord_dispatcher_draining", "jord_dispatcher_workers", "jord_dispatcher_ready_workers",
+	"jord_dispatcher_worker_state_admittable", "jord_dispatcher_worker_state_ejected", "jord_dispatcher_worker_state_draining", "jord_dispatcher_worker_state_outstanding", "jord_dispatcher_worker_state_bound",
+	"jord_dispatcher_worker_state_dispatched_total", "jord_dispatcher_worker_state_last_poll_age_ms", "jord_dispatcher_worker_state_worker_ready", "jord_dispatcher_worker_state_worker_degraded", "jord_dispatcher_worker_state_executors",
+	"jord_dispatcher_uptime_seconds", "jord_dispatcher_num_cpu", "jord_dispatcher_gomaxprocs", "jord_dispatcher_jbsq_worker_bound",
+	"jord_dispatcher_dispatched_total", "jord_dispatcher_rejected_saturated_total", "jord_dispatcher_rejected_no_workers_total", "jord_dispatcher_transport_retries_total", "jord_dispatcher_drain_retries_total", "jord_dispatcher_exhausted_total", "jord_dispatcher_passthrough_sheds_total", "jord_dispatcher_outstanding",
+	"jord_dispatcher_unsafe_retries_total", "jord_dispatcher_unsafe_bad_gateway_total", "jord_dispatcher_hedges_issued_total", "jord_dispatcher_hedges_won_total", "jord_dispatcher_hedges_wasted_total", "jord_dispatcher_dedup_hits_total", "jord_dispatcher_relay_errors_worker_total", "jord_dispatcher_relay_errors_client_total", "jord_dispatcher_relay_redials_total",
+	"jord_dispatcher_statsz_workers",
+	"jord_dispatcher_executors", "jord_dispatcher_orchestrators", "jord_dispatcher_num_pds", "jord_dispatcher_pd_reserve", "jord_dispatcher_pd_free", "jord_dispatcher_live_pds", "jord_dispatcher_cgets_total", "jord_dispatcher_cputs_total", "jord_dispatcher_isolation_faults_total",
+	"jord_dispatcher_inflight", "jord_dispatcher_admitted_total", "jord_dispatcher_rejected_total",
+	"jord_dispatcher_pool_dispatched_total", "jord_dispatcher_pool_completed_total", "jord_dispatcher_pool_expired_total", "jord_dispatcher_pool_canceled_total", "jord_dispatcher_pool_rejected_total", "jord_dispatcher_pool_shed_total", "jord_dispatcher_pool_orphaned_total", "jord_dispatcher_pool_watchdog_total", "jord_dispatcher_pool_swept_total",
+	"jord_dispatcher_external_queue_depth", "jord_dispatcher_internal_queue_depth", "jord_dispatcher_executor_queue_depth",
+	"jord_dispatcher_funcs_count_total", "jord_dispatcher_funcs_errors_total", "jord_dispatcher_funcs_watchdog_total", "jord_dispatcher_funcs_breaker_trips_total", "jord_dispatcher_funcs_short_circuits_total",
+}
+
+// TestMetricsLabelEscaping: a function name may hold any byte, and both
+// tiers' /metrics must carry it back out with the format's own three
+// escapes (\\, \", \n) — not Go's %q, and not escaped twice. A tab has
+// no escape in the format; it goes through raw.
+func TestMetricsLabelEscaping(t *testing.T) {
+	names := []string{`a"b`, `a\b`, "a\nb", "a\tb"}
+	d, addr, ch := startRealWorker(t, func(d *server.Daemon) {
+		for _, name := range names {
+			d.MustRegister(name, func(ctx router.Ctx) ([]byte, error) { return nil, nil })
+		}
+	})
+	t.Cleanup(func() { shutdownWorker(t, d, ch) })
+	front := startFront(t, New(Config{Workers: []string{addr}, HealthInterval: 25 * time.Millisecond}), 1)
+
+	for _, tier := range []struct{ url, family string }{
+		{"http://" + addr + "/metrics", "jord_funcs_count_total"},
+		{front.URL + "/metrics", "jord_dispatcher_funcs_count_total"},
+	} {
+		resp, err := http.Get(tier.url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := promtest.Parse(t, resp.Body).LabelValues(tier.family, "name")
+		resp.Body.Close()
+		sort.Strings(got)
+		want := append([]string(nil), names...)
+		sort.Strings(want)
+		if strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Errorf("%s: %s names read back %q, want %q", tier.url, tier.family, got, want)
 		}
 	}
 }

@@ -1,18 +1,10 @@
 package cluster
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
 	"time"
-)
 
-// maxReadyzBody bounds how much of a worker's /readyz answer the
-// dispatcher will read: a confused (or malicious) worker must not be able
-// to balloon the poller with an unbounded document.
-const maxReadyzBody = 256 << 10
+	"jord/internal/server/gateway"
+)
 
 // healthLoop polls every worker's /readyz each HealthInterval. It is the
 // only path that RE-ADMITS a worker: passive ejection (transport errors,
@@ -59,32 +51,12 @@ func (d *Dispatcher) poll(w *worker) {
 	// as it was when the poll began must not overwrite ejections that
 	// happened while the poll was in flight.
 	epoch := w.ejectEpoch.Load()
-	timeout := d.cfg.HealthInterval
-	if timeout < 100*time.Millisecond {
-		timeout = 100 * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/readyz", nil)
-	if err != nil {
-		d.applyVerdict(w, readyzDoc{}, err, epoch)
-		return
-	}
-	resp, err := d.client.Do(req)
-	if err != nil {
-		d.applyVerdict(w, readyzDoc{}, err, epoch)
-		return
-	}
-	defer resp.Body.Close()
-	var doc readyzDoc
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxReadyzBody)).Decode(&doc); err != nil {
-		d.applyVerdict(w, readyzDoc{}, fmt.Errorf("decoding /readyz: %w", err), epoch)
-		return
-	}
-	d.applyVerdict(w, doc, nil, epoch)
+	var doc gateway.Readyz
+	err := d.fetchJSON(w.base, "/readyz", max(d.cfg.HealthInterval, 100*time.Millisecond), &doc)
+	d.applyVerdict(w, doc, err, epoch)
 }
 
-func (d *Dispatcher) applyVerdict(w *worker, doc readyzDoc, err error, epoch uint64) {
+func (d *Dispatcher) applyVerdict(w *worker, doc gateway.Readyz, err error, epoch uint64) {
 	now := time.Now()
 	if err != nil {
 		w.ejected.Store(true)

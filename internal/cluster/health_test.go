@@ -88,19 +88,24 @@ func TestEjectVerdictAppliesDespiteEpoch(t *testing.T) {
 	}
 }
 
-// TestReadyzBodyBounded: a worker answering /readyz with an unbounded
-// body must be treated as broken (ejected), not buffered wholesale.
+// TestReadyzBodyBounded: a worker answering /readyz or /statsz with an
+// unbounded body must be treated as broken — ejected, left out of the
+// stats fan-out — not buffered wholesale.
 func TestReadyzBodyBounded(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, `{"ready":true`)
-		pad := strings.Repeat(" ", 64<<10)
-		for i := 0; i < 8; i++ { // ~512 KiB of padding, over maxReadyzBody
-			io.WriteString(w, pad)
+	oversized := func(head string) http.HandlerFunc {
+		return func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, head)
+			pad := strings.Repeat(" ", 64<<10)
+			for i := 0; i < 8; i++ { // ~512 KiB of padding, over maxWorkerDoc
+				io.WriteString(w, pad)
+			}
+			io.WriteString(w, `}`)
 		}
-		io.WriteString(w, `}`)
-	})
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/readyz", oversized(`{"ready":true`))
+	mux.HandleFunc("/statsz", oversized(`{"pool_completed":5,"executors":2`))
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	addr := strings.TrimPrefix(srv.URL, "http://")
@@ -116,5 +121,9 @@ func TestReadyzBodyBounded(t *testing.T) {
 	wk.mu.Unlock()
 	if !strings.Contains(lastErr, "decoding /readyz") {
 		t.Fatalf("lastErr = %q, want a decode error", lastErr)
+	}
+	if doc := d.aggregateStatsz(); doc.StatszWorkers != 0 || doc.PoolCompleted != 0 {
+		t.Fatalf("oversized /statsz counted: statsz_workers=%d pool_completed=%d, want 0/0",
+			doc.StatszWorkers, doc.PoolCompleted)
 	}
 }

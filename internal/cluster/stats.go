@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,26 +12,29 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"jord/internal/metrics"
+	"jord/internal/server/gateway"
 )
 
 // WorkerStatus is one worker's row in /workers and /readyz: the
 // dispatcher-side view (placement state, outstanding, bound) joined with
 // the last polled worker-side view.
 type WorkerStatus struct {
-	Addr        string `json:"addr"`
-	Admittable  bool   `json:"admittable"` // JBSQ may place new work here
-	Ejected     bool   `json:"ejected"`    // health verdict (auto re-admitted)
-	Draining    bool   `json:"draining"`   // admin drain (sticky)
-	Outstanding int64  `json:"outstanding"`
-	Bound       int64  `json:"bound"`
-	Dispatched  uint64 `json:"dispatched"`
+	Addr        string `json:"addr" metric:"label"`
+	Admittable  bool   `json:"admittable" metric:"gauge" help:"1 while JBSQ may place new work on the worker."`
+	Ejected     bool   `json:"ejected" metric:"gauge" help:"1 while the health verdict keeps the worker out (re-admitted automatically)."`
+	Draining    bool   `json:"draining" metric:"gauge" help:"1 while an admin drain keeps the worker out (sticky)."`
+	Outstanding int64  `json:"outstanding" metric:"gauge" help:"Dispatcher requests outstanding on the worker: its JBSQ queue."`
+	Bound       int64  `json:"bound" metric:"gauge" help:"The worker's JBSQ outstanding bound."`
+	Dispatched  uint64 `json:"dispatched" metric:"counter" help:"Requests relayed to the worker."`
 	LastError   string `json:"last_error,omitempty"`
-	LastPollMs  int64  `json:"last_poll_age_ms,omitempty"`
+	LastPollMs  int64  `json:"last_poll_age_ms,omitempty" metric:"gauge" help:"Milliseconds since the worker's last /readyz poll."`
 
 	// Worker-side /readyz echo from the last successful poll.
-	WorkerReady    bool     `json:"worker_ready"`
-	WorkerDegraded bool     `json:"worker_degraded,omitempty"`
-	Executors      int      `json:"executors,omitempty"`
+	WorkerReady    bool     `json:"worker_ready" metric:"gauge" help:"1 while the worker's own /readyz said ready at the last poll."`
+	WorkerDegraded bool     `json:"worker_degraded,omitempty" metric:"gauge" help:"1 while the worker reported tiered shedding at the last poll."`
+	Executors      int      `json:"executors,omitempty" metric:"gauge" help:"Executors the worker reported at the last poll."`
 	OpenBreakers   []string `json:"open_breakers,omitempty"`
 }
 
@@ -65,10 +69,10 @@ func (d *Dispatcher) workerStatuses() []WorkerStatus {
 // Readyz is the dispatcher's /readyz document: ready while at least one
 // worker can take traffic and the dispatcher itself is not draining.
 type Readyz struct {
-	Ready        bool           `json:"ready"`
-	Draining     bool           `json:"draining"`
-	Workers      int            `json:"workers"`
-	ReadyWorkers int            `json:"ready_workers"`
+	Ready        bool           `json:"ready" metric:"gauge" help:"1 while the dispatcher takes traffic: not draining, a worker admittable."`
+	Draining     bool           `json:"draining" metric:"gauge" help:"1 while the dispatcher is draining."`
+	Workers      int            `json:"workers" metric:"gauge" help:"Workers in the set."`
+	ReadyWorkers int            `json:"ready_workers" metric:"gauge" help:"Workers currently admittable."`
 	WorkerState  []WorkerStatus `json:"worker_state"`
 }
 
@@ -89,14 +93,12 @@ func (d *Dispatcher) readyzDocNow() Readyz {
 
 func (d *Dispatcher) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	doc := d.readyzDocNow()
-	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusOK
 	if !doc.Ready {
 		retryAfter(w, time.Second)
-		w.WriteHeader(http.StatusServiceUnavailable)
+		status = http.StatusServiceUnavailable
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
+	gateway.WriteJSON(w, status, doc)
 }
 
 func (d *Dispatcher) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -108,78 +110,59 @@ func (d *Dispatcher) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	_, _ = io.WriteString(w, "ok\n")
 }
 
-// workerStatsz is the subset of a worker's /statsz the dispatcher
-// aggregates.
-type workerStatsz struct {
-	PoolDispatched uint64 `json:"pool_dispatched"`
-	PoolCompleted  uint64 `json:"pool_completed"`
-	PoolExpired    uint64 `json:"pool_expired"`
-	PoolCanceled   uint64 `json:"pool_canceled"`
-	PoolRejected   uint64 `json:"pool_rejected"`
-	PoolShed       uint64 `json:"pool_shed"`
-	Inflight       int64  `json:"inflight"`
-	Funcs          []struct {
-		Name   string `json:"name"`
-		Count  uint64 `json:"count"`
-		Errors uint64 `json:"errors"`
-	} `json:"funcs"`
-}
-
-// FuncTotals is one function's cluster-wide completion count.
+// FuncTotals is one function's counters summed across the workers.
 type FuncTotals struct {
-	Name   string `json:"name"`
-	Count  uint64 `json:"count"`
-	Errors uint64 `json:"errors"`
+	Name string `json:"name" metric:"label"`
+	gateway.FuncCounts
 }
 
-// Statsz is the dispatcher's /statsz document: its own placement counters
-// plus pool counters aggregated across every reachable worker. Latency
-// percentiles deliberately stay per-worker (quantiles do not sum); scrape
-// each worker's /statsz for those.
+// Statsz is the dispatcher's /statsz document, and the one place a scalar
+// metric of this tier is declared (see gateway.Statsz): the /readyz view,
+// the dispatcher's own placement counters, and the workers' additive
+// values summed over those that answered, under the workers' own keys.
+// Latency percentiles stay per worker (quantiles do not sum); scrape each
+// worker's /statsz for those.
 type Statsz struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Draining      bool    `json:"draining"`
-	Workers       int     `json:"workers"`
-	ReadyWorkers  int     `json:"ready_workers"`
+	Readyz
+	UptimeSeconds float64 `json:"uptime_seconds" metric:"gauge" help:"Seconds since the dispatcher started."`
+	NumCPU        int     `json:"num_cpu" metric:"gauge" help:"Logical CPUs of the dispatcher's host."`
+	GOMAXPROCS    int     `json:"gomaxprocs" metric:"gauge" help:"CPUs the dispatcher's Go runtime may use at once."`
+	Bound         int64   `json:"jbsq_worker_bound,omitempty" metric:"gauge" help:"Configured per-worker JBSQ bound; 0 sizes each worker from its /readyz."`
 
-	Dispatched        uint64 `json:"dispatched"`
-	RejectedSaturated uint64 `json:"rejected_saturated"` // dispatcher 429s: all bounds full
-	RejectedNoWorkers uint64 `json:"rejected_no_workers"`
-	ErrRetries        uint64 `json:"transport_retries"`
-	DrainRetries      uint64 `json:"drain_retries"`
-	Exhausted         uint64 `json:"exhausted"` // 503 after trying every worker
-	Passthrough       uint64 `json:"passthrough_sheds"`
-	Outstanding       int64  `json:"outstanding"`
+	Dispatched        uint64 `json:"dispatched" metric:"counter" help:"Requests relayed to a worker."`
+	RejectedSaturated uint64 `json:"rejected_saturated" metric:"counter" help:"Dispatcher 429s: every ready worker at its bound."`
+	RejectedNoWorkers uint64 `json:"rejected_no_workers" metric:"counter" help:"Dispatcher 503s: no ready worker."`
+	ErrRetries        uint64 `json:"transport_retries" metric:"counter" help:"Re-placements after a transport error."`
+	DrainRetries      uint64 `json:"drain_retries" metric:"counter" help:"Re-placements after a draining worker's marked 503."`
+	Exhausted         uint64 `json:"exhausted" metric:"counter" help:"503s after trying every worker."`
+	Passthrough       uint64 `json:"passthrough_sheds" metric:"counter" help:"Worker 429/503s forwarded verbatim."`
+	Outstanding       int64  `json:"outstanding" metric:"gauge" help:"Dispatcher requests outstanding across all workers."`
 
 	// Fault-tolerance counters (see the retry policy in invoke.go).
-	UnsafeRetries   uint64 `json:"unsafe_retries"`     // same-worker idempotent replays
-	Unsafe502       uint64 `json:"unsafe_bad_gateway"` // keyless post-delivery failures
-	HedgesIssued    uint64 `json:"hedges_issued"`
-	HedgesWon       uint64 `json:"hedges_won"`
-	HedgesWasted    uint64 `json:"hedges_wasted"`
-	DedupHits       uint64 `json:"dedup_hits"` // responses replayed from a worker cache
-	RelayErrsWorker uint64 `json:"relay_errors_worker"`
-	RelayErrsClient uint64 `json:"relay_errors_client"`
-	RelayRedials    uint64 `json:"relay_redials"` // stale pooled worker conns absorbed by a fresh dial
+	UnsafeRetries   uint64 `json:"unsafe_retries" metric:"counter" help:"Same-worker idempotent replays after a post-delivery break."`
+	Unsafe502       uint64 `json:"unsafe_bad_gateway" metric:"counter" help:"Keyless post-delivery failures surfaced as 502."`
+	HedgesIssued    uint64 `json:"hedges_issued" metric:"counter" help:"Hedged (duplicate) placements issued."`
+	HedgesWon       uint64 `json:"hedges_won" metric:"counter" help:"Hedges whose response won."`
+	HedgesWasted    uint64 `json:"hedges_wasted" metric:"counter" help:"Hedges whose response lost."`
+	DedupHits       uint64 `json:"dedup_hits" metric:"counter" help:"Responses replayed from a worker idempotency cache."`
+	RelayErrsWorker uint64 `json:"relay_errors_worker" metric:"counter" help:"Relay failures after the response head on the worker side."`
+	RelayErrsClient uint64 `json:"relay_errors_client" metric:"counter" help:"Relay failures after the response head on the client side."`
+	RelayRedials    uint64 `json:"relay_redials" metric:"counter" help:"Failures on a reused worker connection absorbed by one fresh dial."`
 
-	// Totals aggregates pool counters over workers that answered /statsz.
-	Totals struct {
-		PoolDispatched uint64 `json:"pool_dispatched"`
-		PoolCompleted  uint64 `json:"pool_completed"`
-		PoolExpired    uint64 `json:"pool_expired"`
-		PoolCanceled   uint64 `json:"pool_canceled"`
-		PoolRejected   uint64 `json:"pool_rejected"`
-		PoolShed       uint64 `json:"pool_shed"`
-		Inflight       int64  `json:"inflight"`
-	} `json:"totals"`
-	StatszWorkers int            `json:"statsz_workers"` // workers that answered
-	Funcs         []FuncTotals   `json:"funcs"`
-	WorkerState   []WorkerStatus `json:"worker_state"`
+	StatszWorkers int `json:"statsz_workers" metric:"gauge" help:"Workers that answered this /statsz fan-out."`
+	gateway.Additive
+	Funcs []FuncTotals `json:"funcs"`
 }
 
-// fetchJSON GETs one worker endpoint into out with a short deadline.
-func (d *Dispatcher) fetchJSON(base, path string, out any) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+// maxWorkerDoc bounds how much of a worker's /readyz or /statsz answer the
+// dispatcher reads: a confused (or malicious) worker must not be able to
+// balloon the poller or the stats fan-out with an unbounded document.
+const maxWorkerDoc = 256 << 10
+
+// fetchJSON GETs one worker document into out. Any status counts if its
+// body decodes: the gateway answers /readyz with its document on 503 too.
+func (d *Dispatcher) fetchJSON(base, path string, timeout time.Duration, out any) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
 	if err != nil {
@@ -190,18 +173,21 @@ func (d *Dispatcher) fetchJSON(base, path string, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", path, resp.Status)
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxWorkerDoc)).Decode(out); err != nil {
+		return fmt.Errorf("decoding %s: %w", path, err)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return nil
 }
 
 // aggregateStatsz assembles the cluster stats document, fanning the
 // /statsz scrape out to every worker concurrently.
 func (d *Dispatcher) aggregateStatsz() Statsz {
 	doc := Statsz{
+		Readyz:            d.readyzDocNow(),
 		UptimeSeconds:     time.Since(d.started).Seconds(),
-		Draining:          d.draining.Load(),
+		NumCPU:            runtime.NumCPU(),
+		GOMAXPROCS:        runtime.GOMAXPROCS(0),
+		Bound:             int64(d.cfg.Bound),
 		Dispatched:        d.dispatched.Load(),
 		RejectedSaturated: d.rejectedBusy.Load(),
 		RejectedNoWorkers: d.rejectedDown.Load(),
@@ -218,50 +204,37 @@ func (d *Dispatcher) aggregateStatsz() Statsz {
 		RelayErrsWorker:   d.relayWorkerErrs.Load(),
 		RelayErrsClient:   d.relayClientErrs.Load(),
 		RelayRedials:      d.relayRedials.Load(),
-		WorkerState:       d.workerStatuses(),
 	}
-	doc.Workers = len(doc.WorkerState)
 	for _, w := range doc.WorkerState {
 		doc.Outstanding += w.Outstanding
-		if w.Admittable {
-			doc.ReadyWorkers++
-		}
 	}
 
-	ws := d.snapshot()
 	var (
 		mu    sync.Mutex
 		funcs = map[string]*FuncTotals{}
 		wg    sync.WaitGroup
 	)
-	for _, wk := range ws {
+	for _, wk := range d.snapshot() {
 		wg.Add(1)
-		go func(wk *worker) {
+		go func() {
 			defer wg.Done()
-			var st workerStatsz
-			if err := d.fetchJSON(wk.base, "/statsz", &st); err != nil {
+			var st gateway.Statsz
+			if err := d.fetchJSON(wk.base, "/statsz", 2*time.Second, &st); err != nil {
 				return
 			}
 			mu.Lock()
 			defer mu.Unlock()
 			doc.StatszWorkers++
-			doc.Totals.PoolDispatched += st.PoolDispatched
-			doc.Totals.PoolCompleted += st.PoolCompleted
-			doc.Totals.PoolExpired += st.PoolExpired
-			doc.Totals.PoolCanceled += st.PoolCanceled
-			doc.Totals.PoolRejected += st.PoolRejected
-			doc.Totals.PoolShed += st.PoolShed
-			doc.Totals.Inflight += st.Inflight
+			metrics.Add(&doc.Additive, &st.Additive)
 			for _, f := range st.Funcs {
 				ft := funcs[f.Name]
 				if ft == nil {
 					ft = &FuncTotals{Name: f.Name}
 					funcs[f.Name] = ft
 				}
-				ft.Count += f.Count
-				ft.Errors += f.Errors
+				metrics.Add(&ft.FuncCounts, &f.FuncCounts)
 			}
-		}(wk)
+		}()
 	}
 	wg.Wait()
 	for _, ft := range funcs {
@@ -272,151 +245,22 @@ func (d *Dispatcher) aggregateStatsz() Statsz {
 }
 
 func (d *Dispatcher) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(d.aggregateStatsz())
+	gateway.WriteJSON(w, http.StatusOK, d.aggregateStatsz())
 }
 
-// Varz is the dispatcher's /varz: enough of the worker-shaped document
-// (num_cpu, gomaxprocs, executors, orchestrators) that jordload's
-// per-core summary works unchanged against a cluster, with executors and
-// orchestrators summed across the workers that answered.
-type Varz struct {
-	NumCPU        int   `json:"num_cpu"`
-	GOMAXPROCS    int   `json:"gomaxprocs"`
-	Executors     int   `json:"executors"`
-	Orchestrators int   `json:"orchestrators"`
-	Workers       int   `json:"workers"`
-	VarzWorkers   int   `json:"varz_workers"` // workers that answered
-	Bound         int64 `json:"jbsq_worker_bound,omitempty"`
-}
-
-func (d *Dispatcher) handleVarz(w http.ResponseWriter, _ *http.Request) {
-	ws := d.snapshot()
-	doc := Varz{
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    len(ws),
-		Bound:      int64(d.cfg.Bound),
-	}
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
-	for _, wk := range ws {
-		wg.Add(1)
-		go func(wk *worker) {
-			defer wg.Done()
-			var vz struct {
-				Executors     int `json:"executors"`
-				Orchestrators int `json:"orchestrators"`
-			}
-			if err := d.fetchJSON(wk.base, "/varz", &vz); err != nil {
-				return
-			}
-			mu.Lock()
-			doc.VarzWorkers++
-			doc.Executors += vz.Executors
-			doc.Orchestrators += vz.Orchestrators
-			mu.Unlock()
-		}(wk)
-	}
-	wg.Wait()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
-}
-
-// handleMetrics writes Prometheus text (format 0.0.4): the dispatcher's
-// placement counters, per-worker gauges, and cluster totals aggregated
-// from the workers' /statsz.
+// handleMetrics renders the /statsz document in the Prometheus text
+// format (0.0.4) through the shared encoder.
 func (d *Dispatcher) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	doc := d.aggregateStatsz()
-	var b strings.Builder
-	metric := func(name, help, typ string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	}
-	b2f := func(v bool) int {
-		if v {
-			return 1
-		}
-		return 0
-	}
-	metric("jord_dispatcher_up", "1 while the dispatcher accepts traffic.", "gauge")
-	fmt.Fprintf(&b, "jord_dispatcher_up %d\n", b2f(!doc.Draining))
-	metric("jord_dispatcher_workers", "Configured workers.", "gauge")
-	fmt.Fprintf(&b, "jord_dispatcher_workers %d\n", doc.Workers)
-	metric("jord_dispatcher_ready_workers", "Workers currently admittable.", "gauge")
-	fmt.Fprintf(&b, "jord_dispatcher_ready_workers %d\n", doc.ReadyWorkers)
-	metric("jord_dispatcher_dispatched_total", "Requests relayed to a worker.", "counter")
-	fmt.Fprintf(&b, "jord_dispatcher_dispatched_total %d\n", doc.Dispatched)
-	metric("jord_dispatcher_rejected_total", "Requests the dispatcher refused itself, by reason.", "counter")
-	fmt.Fprintf(&b, "jord_dispatcher_rejected_total{reason=\"saturated\"} %d\n", doc.RejectedSaturated)
-	fmt.Fprintf(&b, "jord_dispatcher_rejected_total{reason=\"no_workers\"} %d\n", doc.RejectedNoWorkers)
-	fmt.Fprintf(&b, "jord_dispatcher_rejected_total{reason=\"exhausted\"} %d\n", doc.Exhausted)
-	metric("jord_dispatcher_retries_total", "Re-placements after a failure, by cause.", "counter")
-	fmt.Fprintf(&b, "jord_dispatcher_retries_total{cause=\"transport\"} %d\n", doc.ErrRetries)
-	fmt.Fprintf(&b, "jord_dispatcher_retries_total{cause=\"drain\"} %d\n", doc.DrainRetries)
-	fmt.Fprintf(&b, "jord_dispatcher_retries_total{cause=\"unsafe_same_worker\"} %d\n", doc.UnsafeRetries)
-	metric("jord_dispatcher_passthrough_sheds_total", "Worker 429/503s forwarded verbatim.", "counter")
-	fmt.Fprintf(&b, "jord_dispatcher_passthrough_sheds_total %d\n", doc.Passthrough)
-	metric("jord_dispatcher_hedges_total", "Hedged (duplicate) placements, by result.", "counter")
-	fmt.Fprintf(&b, "jord_dispatcher_hedges_total{result=\"issued\"} %d\n", doc.HedgesIssued)
-	fmt.Fprintf(&b, "jord_dispatcher_hedges_total{result=\"won\"} %d\n", doc.HedgesWon)
-	fmt.Fprintf(&b, "jord_dispatcher_hedges_total{result=\"wasted\"} %d\n", doc.HedgesWasted)
-	metric("jord_dispatcher_dedup_hits_total", "Responses replayed from a worker idempotency cache.", "counter")
-	fmt.Fprintf(&b, "jord_dispatcher_dedup_hits_total %d\n", doc.DedupHits)
-	metric("jord_dispatcher_unsafe_bad_gateway_total", "Keyless post-delivery failures surfaced as 502.", "counter")
-	fmt.Fprintf(&b, "jord_dispatcher_unsafe_bad_gateway_total %d\n", doc.Unsafe502)
-	metric("jord_dispatcher_relay_errors_total", "Relay failures after the response head, by failing side.", "counter")
-	fmt.Fprintf(&b, "jord_dispatcher_relay_errors_total{side=\"worker\"} %d\n", doc.RelayErrsWorker)
-	fmt.Fprintf(&b, "jord_dispatcher_relay_errors_total{side=\"client\"} %d\n", doc.RelayErrsClient)
-	metric("jord_dispatcher_relay_redials_total", "Failures on a reused worker connection absorbed by one fresh dial.", "counter")
-	fmt.Fprintf(&b, "jord_dispatcher_relay_redials_total %d\n", doc.RelayRedials)
-
-	metric("jord_dispatcher_worker_outstanding", "Outstanding requests per worker (JBSQ queue).", "gauge")
-	for _, ws := range doc.WorkerState {
-		fmt.Fprintf(&b, "jord_dispatcher_worker_outstanding{worker=%q} %d\n", ws.Addr, ws.Outstanding)
-	}
-	metric("jord_dispatcher_worker_bound", "JBSQ outstanding bound per worker.", "gauge")
-	for _, ws := range doc.WorkerState {
-		fmt.Fprintf(&b, "jord_dispatcher_worker_bound{worker=%q} %d\n", ws.Addr, ws.Bound)
-	}
-	metric("jord_dispatcher_worker_ready", "1 while the worker is admittable.", "gauge")
-	for _, ws := range doc.WorkerState {
-		fmt.Fprintf(&b, "jord_dispatcher_worker_ready{worker=%q} %d\n", ws.Addr, b2f(ws.Admittable))
-	}
-	metric("jord_dispatcher_worker_dispatched_total", "Requests relayed, per worker.", "counter")
-	for _, ws := range doc.WorkerState {
-		fmt.Fprintf(&b, "jord_dispatcher_worker_dispatched_total{worker=%q} %d\n", ws.Addr, ws.Dispatched)
-	}
-
-	metric("jord_cluster_pool_completed_total", "Invocations completed, summed across workers.", "counter")
-	fmt.Fprintf(&b, "jord_cluster_pool_completed_total %d\n", doc.Totals.PoolCompleted)
-	metric("jord_cluster_pool_shed_total", "Tiered-shedding refusals, summed across workers.", "counter")
-	fmt.Fprintf(&b, "jord_cluster_pool_shed_total %d\n", doc.Totals.PoolShed)
-	metric("jord_cluster_pool_rejected_total", "External-queue rejections, summed across workers.", "counter")
-	fmt.Fprintf(&b, "jord_cluster_pool_rejected_total %d\n", doc.Totals.PoolRejected)
-	metric("jord_cluster_inflight", "Admitted in-flight requests, summed across workers.", "gauge")
-	fmt.Fprintf(&b, "jord_cluster_inflight %d\n", doc.Totals.Inflight)
-	metric("jord_cluster_function_invocations_total", "Completed invocations by function, summed across workers.", "counter")
-	for _, f := range doc.Funcs {
-		fmt.Fprintf(&b, "jord_cluster_function_invocations_total{fn=%q} %d\n", f.Name, f.Count)
-	}
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = io.WriteString(w, b.String())
+	var b bytes.Buffer
+	metrics.WriteFamilies(&b, metrics.Families("jord_dispatcher", d.aggregateStatsz()))
+	w.Header().Set("Content-Type", metrics.TextContentType)
+	_, _ = w.Write(b.Bytes())
 }
 
 // --- admin handlers -------------------------------------------------
 
 func (d *Dispatcher) handleWorkers(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(d.workerStatuses())
+	gateway.WriteJSON(w, http.StatusOK, d.workerStatuses())
 }
 
 func adminAddr(w http.ResponseWriter, r *http.Request) (string, bool) {

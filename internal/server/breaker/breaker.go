@@ -24,6 +24,7 @@
 package breaker
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,6 +51,21 @@ func (s State) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// MarshalText writes the state's name, so a JSON document reads "open"
+// while /metrics exports the number.
+func (s State) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText parses a name MarshalText wrote.
+func (s *State) UnmarshalText(b []byte) error {
+	for st := Closed; st <= HalfOpen; st++ {
+		if st.String() == string(b) {
+			*s = st
+			return nil
+		}
+	}
+	return fmt.Errorf("breaker: unknown state %q", b)
 }
 
 // Config tunes one breaker (and, via Set, every breaker of a daemon).

@@ -164,29 +164,20 @@ func TestEndToEndNestedChain(t *testing.T) {
 		}
 	}
 
-	resp, err = client.Get(base + "/varz")
-	if err != nil {
-		t.Fatal(err)
+	// Configuration, PD supply and credit-cache churn, on the same document.
+	if st.Executors <= 0 || st.NumPDs <= 0 || st.PDReserve <= 0 || st.PDShards <= 0 {
+		t.Fatalf("/statsz config not populated: %+v", st)
 	}
-	var vz gateway.Varz
-	err = json.NewDecoder(resp.Body).Decode(&vz)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vz.Executors <= 0 || vz.NumPDs <= 0 || vz.PDReserve <= 0 || vz.PDShards <= 0 {
-		t.Fatalf("/varz config not populated: %+v", vz)
-	}
-	if vz.PDFree != vz.NumPDs-wantPDs || vz.PDLive != wantPDs {
-		t.Fatalf("/varz PD supply at quiescence: free=%d live=%d num=%d (want %d live)",
-			vz.PDFree, vz.PDLive, vz.NumPDs, wantPDs)
+	if st.PDFree != st.NumPDs-wantPDs {
+		t.Fatalf("/statsz PD supply at quiescence: free=%d live=%d num=%d (want %d live)",
+			st.PDFree, st.LivePDs, st.NumPDs, wantPDs)
 	}
 	// The store's own cget holds until Shutdown, hence the wantPDs skew.
-	if vz.Cgets < 2*n || vz.Cgets != vz.Cputs+uint64(wantPDs) {
-		t.Fatalf("/varz churn: cgets=%d cputs=%d, want matched and >= %d", vz.Cgets, vz.Cputs, 2*n)
+	if st.Cgets < 2*n || st.Cgets != st.Cputs+uint64(wantPDs) {
+		t.Fatalf("/statsz churn: cgets=%d cputs=%d, want matched and >= %d", st.Cgets, st.Cputs, 2*n)
 	}
-	if !vz.StateEnabled || vz.State == nil {
-		t.Fatalf("/varz missing state section: %+v", vz)
+	if !st.StateEnabled || st.State == nil {
+		t.Fatalf("/statsz missing state section: %+v", st)
 	}
 }
 

@@ -128,7 +128,7 @@ func TestEdgeHTTPInterop(t *testing.T) {
 	}
 
 	// Cold-path management endpoints through the same port.
-	for _, path := range []string{"/healthz", "/readyz", "/statsz", "/varz"} {
+	for _, path := range []string{"/healthz", "/readyz", "/metrics"} {
 		resp, err := client.Get(base + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
@@ -139,14 +139,14 @@ func TestEdgeHTTPInterop(t *testing.T) {
 			t.Fatalf("GET %s: status=%d body=%q", path, resp.StatusCode, b)
 		}
 	}
-	resp, err = client.Get(base + "/varz")
+	resp, err = client.Get(base + "/statsz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(b), `"num_cpu"`) {
-		t.Fatalf("/varz missing num_cpu: %q", b)
+	if resp.StatusCode != 200 || !strings.Contains(string(b), `"num_cpu"`) {
+		t.Fatalf("GET /statsz: status=%d, want 200 with num_cpu: %q", resp.StatusCode, b)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package gateway is the live serving path's HTTP front end: the jordd
 // endpoints (POST /invoke/{fn}, GET /healthz, GET /readyz, GET /statsz,
-// GET /varz) in front of the worker pool, with admission control,
+// GET /metrics) in front of the worker pool, with admission control,
 // per-function circuit breakers, per-request deadlines, and drain
 // awareness. It plays the role tinyFaaS-style reverse proxies and faasd's
 // gateway play in single-binary FaaS daemons, but dispatches into
@@ -29,7 +29,7 @@ type Gateway struct {
 	Pool *pool.Pool
 	Adm  *admission.Controller
 
-	// Store is the shared-state tier, surfaced in /statsz and /varz.
+	// Store is the shared-state tier, surfaced in /statsz and /metrics.
 	// nil when the daemon runs stateless.
 	Store *state.Store
 
@@ -76,7 +76,6 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.HandleFunc("GET /readyz", g.handleReadyz)
 	mux.HandleFunc("GET /statsz", g.handleStatsz)
-	mux.HandleFunc("GET /varz", g.handleVarz)
 	mux.HandleFunc("GET /tracez", g.handleTracez)
 	mux.HandleFunc("GET /flightz", g.handleFlightz)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
@@ -192,30 +191,114 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		JBSQBound:    cfg.JBSQBound,
 	}
 	doc.Ready = !doc.Draining && !doc.Degraded
-	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusOK
 	if !doc.Ready {
 		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusServiceUnavailable)
+		status = http.StatusServiceUnavailable
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
+	WriteJSON(w, status, doc)
 }
 
-// FuncStatsz is one function's row in the /statsz report. Latencies are
+// WriteJSON answers v as indented JSON with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
+// Statsz is the worker's /statsz document, and the one place a scalar
+// metric of this tier is declared: each field carries its JSON key, its
+// kind and its help text, and /metrics is rendered from the same document
+// (metrics.Families). Latencies are the per-function percentiles in Funcs;
+// /metrics carries them as a summary instead.
+type Statsz struct {
+	UptimeSeconds float64  `json:"uptime_seconds" metric:"gauge" help:"Seconds since the pool started."`
+	NumCPU        int      `json:"num_cpu" metric:"gauge" help:"Logical CPUs of the host."`
+	GOMAXPROCS    int      `json:"gomaxprocs" metric:"gauge" help:"CPUs the Go runtime may use at once."`
+	Draining      bool     `json:"draining" metric:"gauge" help:"1 while the daemon is draining."`
+	Degraded      bool     `json:"degraded" metric:"gauge" help:"1 while tiered shedding is active: free PDs at or below shed_threshold."`
+	OpenBreakers  []string `json:"open_breakers,omitempty"`
+
+	Additive
+
+	JBSQBound        int     `json:"jbsq_bound" metric:"gauge" help:"JBSQ bound: requests queued per executor."`
+	ExternalQueueCap int     `json:"external_queue_cap" metric:"gauge" help:"Capacity of the external queue."`
+	PDShedMargin     int     `json:"pd_shed_margin" metric:"gauge" help:"Free PDs above the reserve at which tiered shedding starts (0 = off)."`
+	ShedThreshold    int     `json:"shed_threshold" metric:"gauge" help:"Free PDs at or below which the worker is degraded."`
+	PDShards         int     `json:"pd_shards" metric:"gauge" help:"Shards of the PD table's free list."`
+	ExecTimeoutMs    float64 `json:"exec_timeout_ms" metric:"gauge" help:"Watchdog threshold in ms (0 = off)."`
+	SweepIntervalMs  float64 `json:"sweep_interval_ms" metric:"gauge" help:"Dead-request sweep period in ms (0 or less = off)."`
+
+	// Adaptive admission: the AIMD-steered limit under the hard cap, how
+	// often each direction has fired, and the controller's knobs.
+	AdmitLimit      int64   `json:"admit_limit" metric:"gauge" help:"Current (AIMD-steered) admission limit."`
+	AdmitMax        int64   `json:"admit_max" metric:"gauge" help:"Hard admission cap."`
+	AdmitAdaptive   bool    `json:"admit_adaptive" metric:"gauge" help:"1 when the admission limit is AIMD-steered."`
+	AdmitIncreases  uint64  `json:"admit_increases,omitempty" metric:"counter" help:"AIMD additive increases of the admission limit."`
+	AdmitDecreases  uint64  `json:"admit_decreases,omitempty" metric:"counter" help:"AIMD multiplicative decreases of the admission limit."`
+	AdmitTargetMs   float64 `json:"admit_target_ms,omitempty" metric:"gauge" help:"Queue-delay target of adaptive admission in ms."`
+	AdmitIntervalMs float64 `json:"admit_interval_ms,omitempty" metric:"gauge" help:"AIMD window in ms."`
+
+	// Breakers: the shared configuration; per-function state is in Funcs.
+	BreakersEnabled   bool    `json:"breakers_enabled" metric:"gauge" help:"1 when per-function circuit breakers are on."`
+	BreakerWindowMs   float64 `json:"breaker_window_ms,omitempty" metric:"gauge" help:"Breaker failure window in ms."`
+	BreakerCooldownMs float64 `json:"breaker_cooldown_ms,omitempty" metric:"gauge" help:"Breaker open-to-half-open cooldown in ms."`
+	BreakerRatio      float64 `json:"breaker_ratio,omitempty" metric:"gauge" help:"Failure ratio that trips a breaker."`
+
+	// State is the shared-state tier's counter snapshot; absent on
+	// stateless daemons.
+	StateEnabled bool         `json:"state_enabled" metric:"gauge" help:"1 when the shared-state tier is on."`
+	State        *state.Stats `json:"state,omitempty"`
+
+	Funcs []FuncStatsz `json:"funcs"`
+}
+
+// Additive is the part of a worker's /statsz whose values add up across
+// workers: capacity, PD supply, in-flight work, the outcome counters and
+// the queue depths. The dispatcher's /statsz carries their sum over its
+// workers under the same keys.
+type Additive struct {
+	Executors     int    `json:"executors" metric:"gauge" help:"Executors: invocations the pool runs at once."`
+	Orchestrators int    `json:"orchestrators" metric:"gauge" help:"JBSQ orchestrators feeding the executors."`
+	NumPDs        int    `json:"num_pds" metric:"gauge" help:"Protection domains in the PD table."`
+	PDReserve     int    `json:"pd_reserve" metric:"gauge" help:"PDs only internal (nested) invocations may take (paper section 3.3)."`
+	PDFree        int    `json:"pd_free" metric:"gauge" help:"Free protection domains."`
+	LivePDs       int    `json:"live_pds" metric:"gauge" help:"Live (bound) protection domains."`
+	Cgets         uint64 `json:"cgets" metric:"counter" help:"PD credit-cache gets."`
+	Cputs         uint64 `json:"cputs" metric:"counter" help:"PD credit-cache puts."`
+	Faults        uint64 `json:"isolation_faults" metric:"counter" help:"Isolation faults detected."`
+
+	Inflight int64  `json:"inflight" metric:"gauge" help:"Admitted requests currently in flight."`
+	Admitted uint64 `json:"admitted" metric:"counter" help:"Requests admitted by the gateway."`
+	Rejected uint64 `json:"rejected" metric:"counter" help:"Requests refused at the admission gate (429)."`
+
+	PoolDispatched uint64 `json:"pool_dispatched" metric:"counter" help:"Invocations dispatched to executors."`
+	PoolCompleted  uint64 `json:"pool_completed" metric:"counter" help:"Invocations completed."`
+	PoolExpired    uint64 `json:"pool_expired" metric:"counter" help:"Deadline-exceeded completions (504)."`
+	PoolCanceled   uint64 `json:"pool_canceled" metric:"counter" help:"Caller-gone completions (499)."`
+	PoolRejected   uint64 `json:"pool_rejected" metric:"counter" help:"External-queue rejections (429)."`
+	PoolShed       uint64 `json:"pool_shed" metric:"counter" help:"Externals refused by tiered shedding (503)."`
+	PoolOrphaned   uint64 `json:"pool_orphaned" metric:"counter" help:"Children detached at parent teardown."`
+	PoolWatchdog   uint64 `json:"pool_watchdog" metric:"counter" help:"Invocations flagged past the watchdog threshold."`
+	PoolSwept      uint64 `json:"pool_swept" metric:"counter" help:"Dead requests reaped before dispatch."`
+
+	ExternalQueue int `json:"external_queue_depth" metric:"gauge" help:"Requests waiting in the external queue."`
+	InternalQueue int `json:"internal_queue_depth" metric:"gauge" help:"Nested invocations waiting in the internal queue."`
+	ExecutorQueue int `json:"executor_queue_depth" metric:"gauge" help:"Invocations waiting in executor queues."`
+}
+
+// FuncStatsz is one function's row in /statsz. Latencies are
 // microseconds, measured arrival -> completion on the live path.
 type FuncStatsz struct {
-	Name          string `json:"name"`
-	Count         uint64 `json:"count"`
-	Errors        uint64 `json:"errors"`
-	Watchdog      uint64 `json:"watchdog,omitempty"` // flagged past ExecTimeout
-	Breaker       string `json:"breaker,omitempty"`  // closed | open | half-open
-	BreakerTrips  uint64 `json:"breaker_trips,omitempty"`
-	ShortCircuits uint64 `json:"short_circuits,omitempty"` // 503s served while not closed
+	Name string `json:"name" metric:"label"`
+	FuncCounts
+	Breaker breaker.State `json:"breaker,omitempty" metric:"gauge" help:"Circuit breaker state: 0 closed, 1 open, 2 half-open."`
 	// ThroughputRPS is the LIFETIME average (count / uptime) — stable but
 	// stale under changing load. IntervalRPS is the windowed rate since the
-	// previous /statsz scrape (falls back to the lifetime average on the
-	// first scrape), which is what a dashboard should plot.
+	// previous /statsz read (falls back to the lifetime average on the
+	// first), which is what a dashboard should plot.
 	ThroughputRPS float64 `json:"throughput_rps"`
 	IntervalRPS   float64 `json:"interval_rps"`
 	P50Us         float64 `json:"p50_us"`
@@ -225,91 +308,89 @@ type FuncStatsz struct {
 	MaxUs         float64 `json:"max_us"`
 }
 
-// Statsz is the /statsz document.
-type Statsz struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Draining      bool    `json:"draining"`
-
-	Inflight int64  `json:"inflight"`
-	Admitted uint64 `json:"admitted"`
-	Rejected uint64 `json:"rejected"` // gateway admission rejections
-
-	// Adaptive admission: the AIMD-steered limit under the hard cap, and
-	// how often each direction has fired.
-	AdmitLimit     int64  `json:"admit_limit"`
-	AdmitMax       int64  `json:"admit_max"`
-	AdmitAdaptive  bool   `json:"admit_adaptive"`
-	AdmitIncreases uint64 `json:"admit_increases,omitempty"`
-	AdmitDecreases uint64 `json:"admit_decreases,omitempty"`
-
-	// Degraded mirrors /readyz: free PDs at or below the shed threshold.
-	Degraded     bool     `json:"degraded"`
-	OpenBreakers []string `json:"open_breakers,omitempty"`
-
-	PoolDispatched uint64 `json:"pool_dispatched"`
-	PoolCompleted  uint64 `json:"pool_completed"`
-	PoolExpired    uint64 `json:"pool_expired"`  // deadline-exceeded completions (504)
-	PoolCanceled   uint64 `json:"pool_canceled"` // caller-gone completions (499)
-	PoolRejected   uint64 `json:"pool_rejected"` // external-queue 429s
-	PoolShed       uint64 `json:"pool_shed"`     // tiered-shedding 503s (PD pressure)
-	PoolOrphaned   uint64 `json:"pool_orphaned"` // children detached at parent teardown
-	PoolWatchdog   uint64 `json:"pool_watchdog"` // invocations flagged past ExecTimeout
-	PoolSwept      uint64 `json:"pool_swept"`    // dead requests reaped pre-dispatch
-
-	ExternalQueue int    `json:"external_queue_depth"`
-	InternalQueue int    `json:"internal_queue_depth"`
-	ExecutorQueue int    `json:"executor_queue_depth"`
-	LivePDs       int    `json:"live_pds"`
-	Faults        uint64 `json:"isolation_faults"`
-
-	// State is the shared-state tier's counter snapshot (store size,
-	// snapshot/promotion/ownership-transfer counters, copy-bytes-avoided);
-	// absent on stateless daemons.
-	State *state.Stats `json:"state,omitempty"`
-
-	Funcs []FuncStatsz `json:"funcs"`
+// FuncCounts are a function's counters, which add up across workers.
+type FuncCounts struct {
+	Count         uint64 `json:"count" metric:"counter" help:"Completed invocations by function."`
+	Errors        uint64 `json:"errors" metric:"counter" help:"Errored invocations by function."`
+	Watchdog      uint64 `json:"watchdog,omitempty" metric:"counter" help:"Invocations flagged past the watchdog threshold, by function."`
+	BreakerTrips  uint64 `json:"breaker_trips,omitempty" metric:"counter" help:"Circuit breaker trips by function."`
+	ShortCircuits uint64 `json:"short_circuits,omitempty" metric:"counter" help:"Requests refused 503 while the function's breaker was not closed."`
 }
 
-// Snapshot assembles the current stats document.
-func (g *Gateway) Snapshot() Statsz {
+// Snapshot assembles the /statsz document and starts the next
+// interval_rps window.
+func (g *Gateway) Snapshot() Statsz { return g.snapshot(true) }
+
+// snapshot assembles the stats document; window says whether this read
+// closes the interval_rps window. A /statsz read does; a /metrics scrape
+// must not shorten it.
+func (g *Gateway) snapshot(window bool) Statsz {
+	cfg := g.Pool.Config().Normalized()
+	tab := g.Pool.Table()
 	st := g.Pool.Stats()
-	ext, internal, execQ := g.Pool.QueueDepths()
 	uptime := time.Since(g.Pool.StartedAt()).Seconds()
 	doc := Statsz{
-		UptimeSeconds:  uptime,
-		Draining:       g.draining.Load(),
-		Inflight:       g.Adm.Inflight(),
-		Admitted:       g.Adm.Admitted(),
-		Rejected:       g.Adm.Rejected(),
-		AdmitLimit:     g.Adm.Limit(),
-		AdmitMax:       g.Adm.Max(),
-		AdmitAdaptive:  g.Adm.Adaptive(),
-		AdmitIncreases: g.Adm.Increases(),
-		AdmitDecreases: g.Adm.Decreases(),
-		Degraded:       g.Degraded(),
-		OpenBreakers:   g.Breakers.NotClosed(),
-		PoolDispatched: st.Dispatched.Load(),
-		PoolCompleted:  st.Completed.Load(),
-		PoolExpired:    st.Expired.Load(),
-		PoolCanceled:   st.Canceled.Load(),
-		PoolRejected:   st.Rejected.Load(),
-		PoolShed:       st.Shed.Load(),
-		PoolOrphaned:   st.Orphaned.Load(),
-		PoolWatchdog:   st.Watchdog.Load(),
-		PoolSwept:      st.Swept.Load(),
-		ExternalQueue:  ext,
-		InternalQueue:  internal,
-		ExecutorQueue:  execQ,
-		LivePDs:        g.Pool.Table().LivePDs(),
-		Faults:         g.Pool.Table().Faults(),
+		UptimeSeconds: uptime,
+		NumCPU:        runtime.NumCPU(),
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		Draining:      g.draining.Load(),
+		Degraded:      g.Degraded(),
+		OpenBreakers:  g.Breakers.NotClosed(),
+		Additive: Additive{
+			Executors:      cfg.Executors,
+			Orchestrators:  cfg.Orchestrators,
+			NumPDs:         cfg.NumPDs,
+			PDReserve:      cfg.PDReserve,
+			PDFree:         tab.FreeCountExact(),
+			LivePDs:        tab.LivePDs(),
+			Cgets:          tab.Cgets(),
+			Cputs:          tab.Cputs(),
+			Faults:         tab.Faults(),
+			Inflight:       g.Adm.Inflight(),
+			Admitted:       g.Adm.Admitted(),
+			Rejected:       g.Adm.Rejected(),
+			PoolDispatched: st.Dispatched.Load(),
+			PoolCompleted:  st.Completed.Load(),
+			PoolExpired:    st.Expired.Load(),
+			PoolCanceled:   st.Canceled.Load(),
+			PoolRejected:   st.Rejected.Load(),
+			PoolShed:       st.Shed.Load(),
+			PoolOrphaned:   st.Orphaned.Load(),
+			PoolWatchdog:   st.Watchdog.Load(),
+			PoolSwept:      st.Swept.Load(),
+		},
+		JBSQBound:        cfg.JBSQBound,
+		ExternalQueueCap: cfg.ExternalQueueCap,
+		PDShedMargin:     cfg.PDShedMargin,
+		ShedThreshold:    g.Pool.ShedThreshold(),
+		PDShards:         tab.Shards(),
+		ExecTimeoutMs:    float64(cfg.ExecTimeout) / 1e6,
+		SweepIntervalMs:  float64(cfg.SweepInterval) / 1e6,
+		AdmitLimit:       g.Adm.Limit(),
+		AdmitMax:         g.Adm.Max(),
+		AdmitAdaptive:    g.Adm.Adaptive(),
+		AdmitIncreases:   g.Adm.Increases(),
+		AdmitDecreases:   g.Adm.Decreases(),
+		AdmitTargetMs:    float64(g.Adm.Target()) / 1e6,
+		AdmitIntervalMs:  float64(g.Adm.Interval()) / 1e6,
+	}
+	doc.ExternalQueue, doc.InternalQueue, doc.ExecutorQueue = g.Pool.QueueDepths()
+	if g.Breakers != nil {
+		bc := g.Breakers.Config()
+		doc.BreakersEnabled = true
+		doc.BreakerWindowMs = float64(bc.Window) / 1e6
+		doc.BreakerCooldownMs = float64(bc.Cooldown) / 1e6
+		doc.BreakerRatio = bc.FailureRatio
 	}
 	if g.Store != nil {
-		st := g.Store.StatsSnapshot()
-		doc.State = &st
+		ss := g.Store.StatsSnapshot()
+		doc.StateEnabled = true
+		doc.State = &ss
 	}
-	// Windowed rates: one lock per Snapshot, never on the serving path.
+	// Windowed rates: one lock per snapshot, never on the serving path.
 	now := time.Now()
 	g.snapMu.Lock()
+	defer g.snapMu.Unlock()
 	elapsed := now.Sub(g.lastSnapAt).Seconds()
 	first := g.lastSnapAt.IsZero() || elapsed <= 0
 	if g.lastCounts == nil {
@@ -318,18 +399,20 @@ func (g *Gateway) Snapshot() Statsz {
 	for _, fs := range st.Funcs() {
 		snap := fs.Latency.Snapshot()
 		row := FuncStatsz{
-			Name:     fs.Name,
-			Count:    fs.Count.Load(),
-			Errors:   fs.Errors.Load(),
-			Watchdog: fs.Watchdog.Load(),
-			P50Us:    float64(snap.P50) / 1e3,
-			P99Us:    float64(snap.P99) / 1e3,
-			P999Us:   float64(snap.P999) / 1e3,
-			MeanUs:   snap.Mean / 1e3,
-			MaxUs:    float64(snap.Max) / 1e3,
+			Name: fs.Name,
+			FuncCounts: FuncCounts{
+				Count:    fs.Count.Load(),
+				Errors:   fs.Errors.Load(),
+				Watchdog: fs.Watchdog.Load(),
+			},
+			P50Us:  float64(snap.P50) / 1e3,
+			P99Us:  float64(snap.P99) / 1e3,
+			P999Us: float64(snap.P999) / 1e3,
+			MeanUs: snap.Mean / 1e3,
+			MaxUs:  float64(snap.Max) / 1e3,
 		}
 		if b := g.Breakers.For(fs.Name); b != nil {
-			row.Breaker = b.State().String()
+			row.Breaker = b.State()
 			row.BreakerTrips = b.Trips()
 			row.ShortCircuits = b.ShortCircuits()
 		}
@@ -341,133 +424,17 @@ func (g *Gateway) Snapshot() Statsz {
 		} else if prev := g.lastCounts[fs.Name]; row.Count >= prev {
 			row.IntervalRPS = float64(row.Count-prev) / elapsed
 		}
-		g.lastCounts[fs.Name] = row.Count
+		if window {
+			g.lastCounts[fs.Name] = row.Count
+		}
 		doc.Funcs = append(doc.Funcs, row)
 	}
-	g.lastSnapAt = now
-	g.snapMu.Unlock()
+	if window {
+		g.lastSnapAt = now
+	}
 	return doc
 }
 
 func (g *Gateway) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(g.Snapshot())
-}
-
-// Varz is the /varz document: the pool's effective configuration plus the
-// runtime gauges an operator checks first when the hot path misbehaves —
-// PD supply (free count vs reserve), allocation churn, and queue depths.
-// Where /statsz is per-function serving metrics, /varz is the runtime's
-// own internals.
-type Varz struct {
-	NumCPU           int     `json:"num_cpu"`    // physical parallelism available
-	GOMAXPROCS       int     `json:"gomaxprocs"` // parallelism the runtime may use
-	Executors        int     `json:"executors"`
-	Orchestrators    int     `json:"orchestrators"`
-	JBSQBound        int     `json:"jbsq_bound"`
-	ExternalQueueCap int     `json:"external_queue_cap"`
-	NumPDs           int     `json:"num_pds"`
-	PDReserve        int     `json:"pd_reserve"`
-	PDShedMargin     int     `json:"pd_shed_margin"` // 0 = tiered shedding off
-	ShedThreshold    int     `json:"shed_threshold"` // free PDs <= this => degraded
-	PDShards         int     `json:"pd_shards"`
-	ExecTimeoutMs    float64 `json:"exec_timeout_ms"`   // 0 = watchdog off
-	SweepIntervalMs  float64 `json:"sweep_interval_ms"` // <= 0 = sweeper off
-
-	// Admission: the AIMD-steered limit (== admit_max on static gates) and
-	// the controller's knobs.
-	AdmitLimit      int64   `json:"admit_limit"`
-	AdmitMax        int64   `json:"admit_max"`
-	AdmitAdaptive   bool    `json:"admit_adaptive"`
-	AdmitTargetMs   float64 `json:"admit_target_ms,omitempty"`   // queue-delay SLO
-	AdmitIntervalMs float64 `json:"admit_interval_ms,omitempty"` // AIMD window
-
-	// Breakers: shared configuration; per-function state lives in /statsz.
-	BreakersEnabled   bool    `json:"breakers_enabled"`
-	BreakerWindowMs   float64 `json:"breaker_window_ms,omitempty"`
-	BreakerCooldownMs float64 `json:"breaker_cooldown_ms,omitempty"`
-	BreakerRatio      float64 `json:"breaker_ratio,omitempty"`
-
-	PDFree   int    `json:"pd_free"`
-	PDLive   int    `json:"pd_live"`
-	Cgets    uint64 `json:"cgets"`
-	Cputs    uint64 `json:"cputs"`
-	Faults   uint64 `json:"isolation_faults"`
-	Canceled uint64 `json:"canceled"` // completions with caller gone (499)
-	Expired  uint64 `json:"expired"`  // deadline-exceeded completions (504)
-	Orphaned uint64 `json:"orphaned"` // children detached at parent teardown
-	Watchdog uint64 `json:"watchdog"` // invocations flagged past ExecTimeout
-	Swept    uint64 `json:"swept"`    // dead requests reaped pre-dispatch
-	Shed     uint64 `json:"shed"`     // externals refused by tiered shedding
-	Draining bool   `json:"draining"`
-	Degraded bool   `json:"degraded"` // free PDs at or below shed threshold
-
-	ExternalQueue int `json:"external_queue_depth"`
-	InternalQueue int `json:"internal_queue_depth"`
-	ExecutorQueue int `json:"executor_queue_depth"`
-
-	// Shared-state tier internals (absent on stateless daemons).
-	StateEnabled bool         `json:"state_enabled"`
-	State        *state.Stats `json:"state,omitempty"`
-}
-
-func (g *Gateway) handleVarz(w http.ResponseWriter, _ *http.Request) {
-	cfg := g.Pool.Config().Normalized()
-	tab := g.Pool.Table()
-	ext, internal, execQ := g.Pool.QueueDepths()
-	st := g.Pool.Stats()
-	doc := Varz{
-		NumCPU:           runtime.NumCPU(),
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		Executors:        cfg.Executors,
-		Orchestrators:    cfg.Orchestrators,
-		JBSQBound:        cfg.JBSQBound,
-		ExternalQueueCap: cfg.ExternalQueueCap,
-		NumPDs:           cfg.NumPDs,
-		PDReserve:        cfg.PDReserve,
-		PDShedMargin:     cfg.PDShedMargin,
-		ShedThreshold:    g.Pool.ShedThreshold(),
-		PDShards:         tab.Shards(),
-		ExecTimeoutMs:    float64(cfg.ExecTimeout) / 1e6,
-		SweepIntervalMs:  float64(cfg.SweepInterval) / 1e6,
-		AdmitLimit:       g.Adm.Limit(),
-		AdmitMax:         g.Adm.Max(),
-		AdmitAdaptive:    g.Adm.Adaptive(),
-		AdmitTargetMs:    float64(g.Adm.Target()) / 1e6,
-		AdmitIntervalMs:  float64(g.Adm.Interval()) / 1e6,
-		PDFree:           tab.FreeCountExact(),
-		PDLive:           tab.LivePDs(),
-		Cgets:            tab.Cgets(),
-		Cputs:            tab.Cputs(),
-		Faults:           tab.Faults(),
-		Canceled:         st.Canceled.Load(),
-		Expired:          st.Expired.Load(),
-		Orphaned:         st.Orphaned.Load(),
-		Watchdog:         st.Watchdog.Load(),
-		Swept:            st.Swept.Load(),
-		Shed:             st.Shed.Load(),
-		Draining:         g.draining.Load(),
-		Degraded:         g.Degraded(),
-		ExternalQueue:    ext,
-		InternalQueue:    internal,
-		ExecutorQueue:    execQ,
-	}
-	if g.Breakers != nil {
-		bc := g.Breakers.Config()
-		doc.BreakersEnabled = true
-		doc.BreakerWindowMs = float64(bc.Window) / 1e6
-		doc.BreakerCooldownMs = float64(bc.Cooldown) / 1e6
-		doc.BreakerRatio = bc.FailureRatio
-	}
-	if g.Store != nil {
-		doc.StateEnabled = true
-		st := g.Store.StatsSnapshot()
-		doc.State = &st
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
+	WriteJSON(w, http.StatusOK, g.Snapshot())
 }

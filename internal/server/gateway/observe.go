@@ -2,13 +2,11 @@ package gateway
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
-	"time"
 
+	"jord/internal/metrics"
 	"jord/internal/server/trace"
 )
 
@@ -32,10 +30,7 @@ func (g *Gateway) handleTracez(w http.ResponseWriter, r *http.Request) {
 			limit = n
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(rec.Tracez(q.Get("fn"), limit))
+	WriteJSON(w, http.StatusOK, rec.Tracez(q.Get("fn"), limit))
 }
 
 // handleFlightz serves the flight recorder's frozen incidents, newest first.
@@ -45,190 +40,66 @@ func (g *Gateway) handleFlightz(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "tracing disabled", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(rec.Flightz())
+	WriteJSON(w, http.StatusOK, rec.Flightz())
 }
 
-// promEscape escapes a label value per the Prometheus text exposition
-// format (backslash, double-quote, newline).
-func promEscape(s string) string {
-	if !strings.ContainsAny(s, "\\\"\n") {
-		return s
-	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
-}
-
-// promWriter accumulates Prometheus text exposition output.
-type promWriter struct {
-	buf bytes.Buffer
-}
-
-func (p *promWriter) header(name, help, typ string) {
-	fmt.Fprintf(&p.buf, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-func (p *promWriter) gauge(name, help string, v float64) {
-	p.header(name, help, "gauge")
-	fmt.Fprintf(&p.buf, "%s %s\n", name, promFloat(v))
-}
-
-func (p *promWriter) counter(name, help string, v uint64) {
-	p.header(name, help, "counter")
-	fmt.Fprintf(&p.buf, "%s %d\n", name, v)
-}
-
-// promFloat renders a float without the exponent forms Go's %v picks for
-// large values (Prometheus accepts them, but plain decimals read better).
-func promFloat(v float64) string {
-	return strconv.FormatFloat(v, 'f', -1, 64)
-}
-
-// breakerStateVal maps a breaker state name to its /metrics gauge value.
-func breakerStateVal(s string) int {
-	switch s {
-	case "open":
-		return 2
-	case "half-open":
-		return 1
-	default:
-		return 0
-	}
-}
-
-// handleMetrics serves the /varz + /statsz counters and the trace plane's
-// per-stage latency histograms in the Prometheus text exposition format,
-// hand-written (no client library on purpose — the daemon takes no
-// dependencies for its hot path, and the export plane follows suit).
+// handleMetrics serves /metrics in the Prometheus text format (0.0.4):
+// the /statsz document rendered by the shared encoder, then the two
+// distributions /statsz only summarises — per-function latency and
+// per-stage durations. Hand-written, no client library: the daemon takes
+// no dependencies.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var p promWriter
-	st := g.Pool.Stats()
-	tab := g.Pool.Table()
-	ext, internal, execQ := g.Pool.QueueDepths()
-
-	p.gauge("jord_uptime_seconds", "Seconds since the pool started.",
-		time.Since(g.Pool.StartedAt()).Seconds())
-	p.gauge("jord_draining", "1 while the daemon is draining.", b2f(g.draining.Load()))
-	p.gauge("jord_degraded", "1 while tiered shedding is active (PD pressure).", b2f(g.Degraded()))
-
-	p.gauge("jord_inflight", "Admitted requests currently in flight.", float64(g.Adm.Inflight()))
-	p.counter("jord_admitted_total", "Requests admitted by the gateway.", g.Adm.Admitted())
-	p.counter("jord_admission_rejected_total", "Requests refused at the admission gate.", g.Adm.Rejected())
-	p.gauge("jord_admit_limit", "Current (AIMD-steered) admission limit.", float64(g.Adm.Limit()))
-	p.gauge("jord_admit_max", "Hard admission cap.", float64(g.Adm.Max()))
-
-	p.header("jord_queue_depth", "Instantaneous queue depths by tier.", "gauge")
-	fmt.Fprintf(&p.buf, "jord_queue_depth{queue=\"external\"} %d\n", ext)
-	fmt.Fprintf(&p.buf, "jord_queue_depth{queue=\"internal\"} %d\n", internal)
-	fmt.Fprintf(&p.buf, "jord_queue_depth{queue=\"executor\"} %d\n", execQ)
-
-	p.gauge("jord_pd_free", "Free protection domains.", float64(tab.FreeCountExact()))
-	p.gauge("jord_pd_live", "Live (bound) protection domains.", float64(tab.LivePDs()))
-	p.counter("jord_pd_cgets_total", "PD credit-cache gets.", tab.Cgets())
-	p.counter("jord_pd_cputs_total", "PD credit-cache puts.", tab.Cputs())
-	p.counter("jord_isolation_faults_total", "Isolation faults detected.", tab.Faults())
-
-	p.counter("jord_pool_dispatched_total", "Invocations dispatched to executors.", st.Dispatched.Load())
-	p.counter("jord_pool_completed_total", "Invocations completed.", st.Completed.Load())
-	p.counter("jord_pool_expired_total", "Deadline-exceeded completions.", st.Expired.Load())
-	p.counter("jord_pool_canceled_total", "Caller-gone completions.", st.Canceled.Load())
-	p.counter("jord_pool_rejected_total", "External-queue rejections.", st.Rejected.Load())
-	p.counter("jord_pool_shed_total", "Externals refused by tiered shedding.", st.Shed.Load())
-	p.counter("jord_pool_orphaned_total", "Children detached at parent teardown.", st.Orphaned.Load())
-	p.counter("jord_pool_watchdog_total", "Invocations flagged past ExecTimeout.", st.Watchdog.Load())
-	p.counter("jord_pool_swept_total", "Dead requests reaped pre-dispatch.", st.Swept.Load())
-
-	// Per-function serving metrics: counts, errors, and the latency summary
-	// (quantiles from the sharded histogram, sum reconstructed from mean).
-	funcs := st.Funcs()
-	if len(funcs) > 0 {
-		p.header("jord_function_invocations_total", "Completed invocations by function.", "counter")
-		for _, fs := range funcs {
-			fmt.Fprintf(&p.buf, "jord_function_invocations_total{fn=%q} %d\n", promEscape(fs.Name), fs.Count.Load())
-		}
-		p.header("jord_function_errors_total", "Errored invocations by function.", "counter")
-		for _, fs := range funcs {
-			fmt.Fprintf(&p.buf, "jord_function_errors_total{fn=%q} %d\n", promEscape(fs.Name), fs.Errors.Load())
-		}
-		p.header("jord_function_latency_seconds", "Invocation latency by function (arrival to completion).", "summary")
-		for _, fs := range funcs {
-			snap := fs.Latency.Snapshot()
-			name := promEscape(fs.Name)
-			fmt.Fprintf(&p.buf, "jord_function_latency_seconds{fn=%q,quantile=\"0.5\"} %s\n", name, promFloat(float64(snap.P50)/1e9))
-			fmt.Fprintf(&p.buf, "jord_function_latency_seconds{fn=%q,quantile=\"0.99\"} %s\n", name, promFloat(float64(snap.P99)/1e9))
-			fmt.Fprintf(&p.buf, "jord_function_latency_seconds{fn=%q,quantile=\"0.999\"} %s\n", name, promFloat(float64(snap.P999)/1e9))
-			fmt.Fprintf(&p.buf, "jord_function_latency_seconds_sum{fn=%q} %s\n", name, promFloat(snap.Mean*float64(snap.Count)/1e9))
-			fmt.Fprintf(&p.buf, "jord_function_latency_seconds_count{fn=%q} %d\n", name, snap.Count)
-		}
-	}
-
-	// Breakers: numeric state (0 closed, 1 half-open, 2 open) plus trips.
-	if g.Breakers != nil && len(funcs) > 0 {
-		p.header("jord_breaker_state", "Circuit breaker state by function: 0 closed, 1 half-open, 2 open.", "gauge")
-		wrote := false
-		var trips bytes.Buffer
-		for _, fs := range funcs {
-			b := g.Breakers.For(fs.Name)
-			if b == nil {
-				continue
-			}
-			wrote = true
-			fmt.Fprintf(&p.buf, "jord_breaker_state{fn=%q} %d\n", promEscape(fs.Name), breakerStateVal(b.State().String()))
-			fmt.Fprintf(&trips, "jord_breaker_trips_total{fn=%q} %d\n", promEscape(fs.Name), b.Trips())
-		}
-		if wrote {
-			p.header("jord_breaker_trips_total", "Circuit breaker trips by function.", "counter")
-			p.buf.Write(trips.Bytes())
-		}
-	}
-
-	// Shared-state tier counters (stateless daemons skip the family).
-	if g.Store != nil {
-		ss := g.Store.StatsSnapshot()
-		p.gauge("jord_state_entries", "Entries in the shared-state store.", float64(ss.Entries))
-		p.gauge("jord_state_bytes", "Bytes held by the shared-state store.", float64(ss.Bytes))
-		p.counter("jord_state_gets_total", "State get operations.", ss.Gets)
-		p.counter("jord_state_puts_total", "State put operations.", ss.Puts)
-		p.counter("jord_state_deletes_total", "State delete operations.", ss.Deletes)
-		p.counter("jord_state_commits_total", "State transaction commits.", ss.Commits)
-		p.counter("jord_state_copy_bytes_avoided_total", "Bytes not copied thanks to ownership transfer.", ss.CopyBytesAvoided)
-	}
-
-	// Per-stage latency histograms from the trace plane: log2(ns) buckets,
-	// cumulative per the exposition format, bounds converted to seconds.
+	var b bytes.Buffer
+	doc := g.snapshot(false)
+	metrics.WriteFamilies(&b, metrics.Families("jord", doc))
+	writeLatency(&b, doc.Funcs)
 	if rec := g.Pool.Trace(); rec != nil {
-		hists := rec.StageHists()
-		p.header("jord_stage_duration_seconds", "Per-invocation stage durations from the trace plane.", "histogram")
-		for i := range hists {
-			h := &hists[i]
-			if h.Count == 0 {
-				continue
-			}
-			stage := promEscape(h.Stage)
-			var cum uint64
-			for b := 0; b < trace.NumStageBuckets; b++ {
-				if h.Buckets[b] == 0 {
-					continue // empty buckets add nothing; cumulative stays correct
-				}
-				cum += h.Buckets[b]
-				le := promFloat(float64(trace.StageBucketUpperNS(b)) / 1e9)
-				fmt.Fprintf(&p.buf, "jord_stage_duration_seconds_bucket{stage=%q,le=%q} %d\n", stage, le, cum)
-			}
-			fmt.Fprintf(&p.buf, "jord_stage_duration_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", stage, h.Count)
-			fmt.Fprintf(&p.buf, "jord_stage_duration_seconds_sum{stage=%q} %s\n", stage, promFloat(float64(h.SumNS)/1e9))
-			fmt.Fprintf(&p.buf, "jord_stage_duration_seconds_count{stage=%q} %d\n", stage, h.Count)
-		}
+		writeStageHists(&b, rec.StageHists())
 	}
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(p.buf.Bytes())
+	w.Header().Set("Content-Type", metrics.TextContentType)
+	_, _ = w.Write(b.Bytes())
 }
 
-func b2f(v bool) float64 {
-	if v {
-		return 1
+// writeLatency writes each function's latency summary from its /statsz
+// row: the quantiles, and the sum reconstructed from the mean.
+func writeLatency(b *bytes.Buffer, funcs []FuncStatsz) {
+	const name = "jord_funcs_latency_seconds"
+	metrics.WriteHeader(b, name, "Invocation latency by function, arrival to completion.", "summary")
+	for _, f := range funcs {
+		l := `name="` + metrics.EscapeLabel(f.Name) + `"`
+		for _, q := range [...]struct {
+			q  string
+			us float64
+		}{{"0.5", f.P50Us}, {"0.99", f.P99Us}, {"0.999", f.P999Us}} {
+			fmt.Fprintf(b, "%s{%s,quantile=\"%s\"} %s\n", name, l, q.q, metrics.FormatValue(q.us/1e6))
+		}
+		fmt.Fprintf(b, "%s_sum{%s} %s\n", name, l, metrics.FormatValue(f.MeanUs*float64(f.Count)/1e6))
+		fmt.Fprintf(b, "%s_count{%s} %d\n", name, l, f.Count)
 	}
-	return 0
+}
+
+// writeStageHists writes the trace plane's per-stage latency histograms:
+// log2(ns) buckets, cumulative per the format, bounds in seconds.
+func writeStageHists(b *bytes.Buffer, hists [trace.NumStages]trace.StageHist) {
+	const name = "jord_stage_duration_seconds"
+	metrics.WriteHeader(b, name, "Per-invocation stage durations from the trace plane.", "histogram")
+	for i := range hists {
+		h := &hists[i]
+		if h.Count == 0 {
+			continue
+		}
+		l := `stage="` + metrics.EscapeLabel(h.Stage) + `"`
+		var cum uint64
+		for k := 0; k < trace.NumStageBuckets; k++ {
+			if h.Buckets[k] == 0 {
+				continue // empty buckets add nothing; cumulative stays correct
+			}
+			cum += h.Buckets[k]
+			le := metrics.FormatValue(float64(trace.StageBucketUpperNS(k)) / 1e9)
+			fmt.Fprintf(b, "%s_bucket{%s,le=\"%s\"} %d\n", name, l, le, cum)
+		}
+		fmt.Fprintf(b, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, l, h.Count)
+		fmt.Fprintf(b, "%s_sum{%s} %s\n", name, l, metrics.FormatValue(float64(h.SumNS)/1e9))
+		fmt.Fprintf(b, "%s_count{%s} %d\n", name, l, h.Count)
+	}
 }

@@ -1,18 +1,16 @@
 package gateway
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
+	"math"
 	"net/http"
-	"regexp"
 	"runtime"
-	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"jord/internal/metrics/promtest"
 )
 
 // drive posts n echo invocations through the edge.
@@ -148,16 +146,10 @@ func TestFlightzEndpoint(t *testing.T) {
 	}
 }
 
-var (
-	promMetricLine = regexp.MustCompile(
-		`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? (-?[0-9.e+-]+|\+Inf|NaN)$`)
-	promNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*`)
-)
-
-// TestMetricsEndpoint validates /metrics as Prometheus text exposition
-// format 0.0.4 with a line-level parser: HELP/TYPE pairs precede samples,
-// every sample line is well-formed, histograms are cumulative and end in a
-// +Inf bucket matching _count, and the load-bearing series are present.
+// TestMetricsEndpoint validates /metrics with the shared text-format
+// checker (TYPE before samples, label escapes, parseable values,
+// cumulative histograms) and pins the worker's family names, so that a
+// rename shows up here as a deliberate diff.
 func TestMetricsEndpoint(t *testing.T) {
 	addr, _, stop := newEdgeRig(t, smallPool())
 	defer stop()
@@ -177,131 +169,41 @@ func TestMetricsEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
 		t.Fatalf("content type %q is not Prometheus text 0.0.4", ct)
 	}
+	e := promtest.Parse(t, resp.Body)
 
-	typed := map[string]string{}    // base metric name -> TYPE
-	samples := map[string]float64{} // full series (name+labels) -> value
-	var order []string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "# HELP ") {
-			continue
-		}
-		if strings.HasPrefix(line, "# TYPE ") {
-			parts := strings.Fields(line)
-			if len(parts) != 4 {
-				t.Fatalf("malformed TYPE line: %q", line)
-			}
-			typed[parts[2]] = parts[3]
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			t.Fatalf("unknown comment line: %q", line)
-		}
-		if !promMetricLine.MatchString(line) {
-			t.Fatalf("malformed sample line: %q", line)
-		}
-		name := promNameRe.FindString(line)
-		bare := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count")
-		if _, ok := typed[name]; !ok {
-			if _, ok := typed[bare]; !ok {
-				t.Fatalf("sample %q has no preceding TYPE", line)
-			}
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			t.Fatalf("unparseable value in %q: %v", line, err)
-		}
-		series := line[:sp]
-		samples[series] = v
-		order = append(order, series)
+	if got, want := strings.Join(e.Families, "\n"), strings.Join(workerFamilies, "\n"); got != want {
+		t.Fatalf("worker /metrics families changed:\n%s\nwant:\n%s", got, want)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	if e.Types["jord_stage_duration_seconds"] != "histogram" || e.Types["jord_funcs_latency_seconds"] != "summary" {
+		t.Fatalf("distribution TYPEs: stage %q latency %q",
+			e.Types["jord_stage_duration_seconds"], e.Types["jord_funcs_latency_seconds"])
 	}
-
-	for _, want := range []string{
-		"jord_uptime_seconds", "jord_inflight", "jord_admitted_total",
-		"jord_queue_depth", "jord_pd_free", "jord_pool_completed_total",
-		"jord_function_invocations_total", "jord_function_latency_seconds",
-		"jord_breaker_state", "jord_stage_duration_seconds",
-	} {
-		if _, ok := typed[want]; !ok {
-			t.Fatalf("missing # TYPE for %s", want)
-		}
-	}
-	if typed["jord_stage_duration_seconds"] != "histogram" {
-		t.Fatalf("stage duration TYPE = %q", typed["jord_stage_duration_seconds"])
-	}
-	if typed["jord_function_latency_seconds"] != "summary" {
-		t.Fatalf("latency TYPE = %q", typed["jord_function_latency_seconds"])
-	}
-
-	// Function counters saw the traffic.
-	if v := samples[`jord_function_invocations_total{fn="echo"}`]; v < 8 {
+	if v, _ := e.Value("jord_funcs_count_total", map[string]string{"name": "echo"}); v < 8 {
 		t.Fatalf("echo invocations = %v, want >= 8", v)
 	}
-
-	// Histogram discipline per stage label: buckets cumulative and
-	// monotone in le, +Inf bucket present and equal to _count.
-	stageBuckets := map[string][]string{} // stage -> bucket series in emit order
-	for _, series := range order {
-		if strings.HasPrefix(series, "jord_stage_duration_seconds_bucket{") {
-			stage := labelValue(series, "stage")
-			stageBuckets[stage] = append(stageBuckets[stage], series)
-		}
+	if v, _ := e.Value("jord_funcs_latency_seconds_count", map[string]string{"name": "echo"}); v < 8 {
+		t.Fatalf("echo latency count = %v, want >= 8", v)
 	}
-	if len(stageBuckets) == 0 {
+	if len(e.LabelValues("jord_stage_duration_seconds_bucket", "stage")) == 0 {
 		t.Fatal("no stage histogram buckets emitted")
-	}
-	for stage, buckets := range stageBuckets {
-		var prev float64
-		var les []float64
-		last := buckets[len(buckets)-1]
-		if labelValue(last, "le") != "+Inf" {
-			t.Fatalf("stage %q: last bucket is %q, not +Inf", stage, last)
-		}
-		for _, b := range buckets {
-			v := samples[b]
-			if v < prev {
-				t.Fatalf("stage %q: non-cumulative bucket %q (%v < %v)", stage, b, v, prev)
-			}
-			prev = v
-			if le := labelValue(b, "le"); le != "+Inf" {
-				f, err := strconv.ParseFloat(le, 64)
-				if err != nil {
-					t.Fatalf("stage %q: bad le %q", stage, le)
-				}
-				les = append(les, f)
-			}
-		}
-		if !sort.Float64sAreSorted(les) {
-			t.Fatalf("stage %q: le bounds not ascending: %v", stage, les)
-		}
-		count := samples[fmt.Sprintf(`jord_stage_duration_seconds_count{stage=%q}`, stage)]
-		if samples[last] != count {
-			t.Fatalf("stage %q: +Inf bucket %v != _count %v", stage, samples[last], count)
-		}
 	}
 }
 
-// labelValue extracts one label's value from a series string like
-// name{a="x",b="y"}.
-func labelValue(series, label string) string {
-	i := strings.Index(series, label+`="`)
-	if i < 0 {
-		return ""
-	}
-	rest := series[i+len(label)+2:]
-	j := strings.IndexByte(rest, '"')
-	if j < 0 {
-		return ""
-	}
-	return rest[:j]
+// workerFamilies is every family a stateless worker's /metrics carries
+// after traffic, in order.
+var workerFamilies = []string{
+	"jord_uptime_seconds", "jord_num_cpu", "jord_gomaxprocs", "jord_draining", "jord_degraded",
+	"jord_executors", "jord_orchestrators", "jord_num_pds", "jord_pd_reserve", "jord_pd_free", "jord_live_pds",
+	"jord_cgets_total", "jord_cputs_total", "jord_isolation_faults_total",
+	"jord_inflight", "jord_admitted_total", "jord_rejected_total",
+	"jord_pool_dispatched_total", "jord_pool_completed_total", "jord_pool_expired_total", "jord_pool_canceled_total", "jord_pool_rejected_total", "jord_pool_shed_total", "jord_pool_orphaned_total", "jord_pool_watchdog_total", "jord_pool_swept_total",
+	"jord_external_queue_depth", "jord_internal_queue_depth", "jord_executor_queue_depth",
+	"jord_jbsq_bound", "jord_external_queue_cap", "jord_pd_shed_margin", "jord_shed_threshold", "jord_pd_shards", "jord_exec_timeout_ms", "jord_sweep_interval_ms",
+	"jord_admit_limit", "jord_admit_max", "jord_admit_adaptive", "jord_admit_increases_total", "jord_admit_decreases_total", "jord_admit_target_ms", "jord_admit_interval_ms",
+	"jord_breakers_enabled", "jord_breaker_window_ms", "jord_breaker_cooldown_ms", "jord_breaker_ratio",
+	"jord_state_enabled",
+	"jord_funcs_count_total", "jord_funcs_errors_total", "jord_funcs_watchdog_total", "jord_funcs_breaker_trips_total", "jord_funcs_short_circuits_total", "jord_funcs_breaker",
+	"jord_funcs_latency_seconds", "jord_stage_duration_seconds",
 }
 
 // TestIntervalRPS checks the windowed throughput satellite: the second
@@ -321,15 +223,25 @@ func TestIntervalRPS(t *testing.T) {
 		t.Fatalf("first scrape interval=%v lifetime=%v, want equal", fn1.IntervalRPS, fn1.ThroughputRPS)
 	}
 
+	// A /metrics scrape between two snapshots must not move the window:
+	// the second interval covers both drives.
 	waitWindowOpen(t, g)
-	drive(t, client, base, "echo", 10)
+	t1 := lastSnapAt(g)
+	drive(t, client, base, "echo", 5)
+	resp, err := client.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	drive(t, client, base, "echo", 5)
 	s2 := g.Snapshot()
 	fn2 := findFunc(t, s2.Funcs, "echo")
-	if fn2.IntervalRPS <= 0 {
-		t.Fatalf("second scrape interval rps = %v", fn2.IntervalRPS)
-	}
 	if fn2.Count != 14 {
 		t.Fatalf("lifetime count = %d, want 14", fn2.Count)
+	}
+	if n := fn2.IntervalRPS * lastSnapAt(g).Sub(t1).Seconds(); math.Abs(n-10) > 1e-6 {
+		t.Fatalf("second interval counted %v completions, want 10: /metrics moved the window", n)
 	}
 
 	// A quiet window must decay the interval rate to zero while the
@@ -361,6 +273,12 @@ func waitWindowOpen(t *testing.T, g *Gateway) {
 			t.Fatal("clock did not advance past the last snapshot")
 		}
 	}
+}
+
+func lastSnapAt(g *Gateway) time.Time {
+	g.snapMu.Lock()
+	defer g.snapMu.Unlock()
+	return g.lastSnapAt
 }
 
 func findFunc(t *testing.T, fns []FuncStatsz, name string) FuncStatsz {

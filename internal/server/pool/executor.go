@@ -427,7 +427,7 @@ func (e *executor) untrack(c *continuation) {
 // flagStuck flags (once per invocation) every active invocation that
 // started before cut — the ExecTimeout watchdog scan, called by the pool
 // sweeper while tracked invocations keep it armed. Flagging is an
-// operator signal (Stats.Watchdog, per-function counters, /varz), not a
+// operator signal (Stats.Watchdog, per-function counters, /statsz), not a
 // kill: Go cannot preempt a spinning body, so teardown stays cooperative.
 func (e *executor) flagStuck(cut time.Time) {
 	p := e.pool

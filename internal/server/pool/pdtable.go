@@ -498,7 +498,7 @@ func (t *Table) LivePDs() int {
 func (t *Table) Faults() uint64 { return t.faults.Load() }
 
 // Cgets and Cputs return the cumulative successful allocation and
-// deallocation counts — exported for /varz.
+// deallocation counts — exported for /statsz.
 func (t *Table) Cgets() uint64 { return t.cgets.Load() }
 func (t *Table) Cputs() uint64 { return t.cputs.Load() }
 

@@ -470,28 +470,28 @@ func (s *Store) Delete(pd pool.PDID, fn string, scope router.StateScope, key str
 	return nil
 }
 
-// Stats is a point-in-time counter snapshot for /statsz and /varz.
+// Stats is a point-in-time counter snapshot for /statsz and /metrics.
 type Stats struct {
-	Entries     int64 `json:"entries"`
-	Bytes       int64 `json:"bytes"`
-	Outstanding int64 `json:"outstanding"` // live snapshots + open transactions
+	Entries     int64 `json:"entries" metric:"gauge" help:"Entries in the shared-state store."`
+	Bytes       int64 `json:"bytes" metric:"gauge" help:"Bytes held by the shared-state store."`
+	Outstanding int64 `json:"outstanding" metric:"gauge" help:"Live snapshots plus open transactions."`
 
-	Gets      uint64 `json:"gets"`
-	FastGets  uint64 `json:"fast_gets"` // served via the global-RO fast path
-	StaleGets uint64 `json:"stale_gets"`
-	Takes     uint64 `json:"takes"`
-	Commits   uint64 `json:"commits"`
-	Discards  uint64 `json:"discards"`
-	Puts      uint64 `json:"puts"`
-	Creates   uint64 `json:"creates"`
-	Deletes   uint64 `json:"deletes"`
+	Gets      uint64 `json:"gets" metric:"counter" help:"State get operations."`
+	FastGets  uint64 `json:"fast_gets" metric:"counter" help:"Gets served by the global-RO fast path."`
+	StaleGets uint64 `json:"stale_gets" metric:"counter" help:"Gets served while the key was taken by a writer."`
+	Takes     uint64 `json:"takes" metric:"counter" help:"Keys taken for writing."`
+	Commits   uint64 `json:"commits" metric:"counter" help:"State transaction commits."`
+	Discards  uint64 `json:"discards" metric:"counter" help:"State transactions discarded."`
+	Puts      uint64 `json:"puts" metric:"counter" help:"State put operations."`
+	Creates   uint64 `json:"creates" metric:"counter" help:"Keys created."`
+	Deletes   uint64 `json:"deletes" metric:"counter" help:"State delete operations."`
 
-	Promotions uint64 `json:"promotions"`
-	Demotions  uint64 `json:"demotions"`
+	Promotions uint64 `json:"promotions" metric:"counter" help:"Entries promoted to a global read-only mapping."`
+	Demotions  uint64 `json:"demotions" metric:"counter" help:"Entries demoted from a global read-only mapping."`
 
-	CopyBytesAvoided uint64 `json:"copy_bytes_avoided"`
-	DegradedRefusals uint64 `json:"degraded_refusals"`
-	CapacityRefusals uint64 `json:"capacity_refusals"`
+	CopyBytesAvoided uint64 `json:"copy_bytes_avoided" metric:"counter" help:"Bytes not copied thanks to ownership transfer."`
+	DegradedRefusals uint64 `json:"degraded_refusals" metric:"counter" help:"Takes and puts refused while the worker was degraded."`
+	CapacityRefusals uint64 `json:"capacity_refusals" metric:"counter" help:"Puts refused at the store's byte cap."`
 }
 
 // StatsSnapshot reads the counters.

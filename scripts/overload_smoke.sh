@@ -50,9 +50,14 @@ SHED="$(echo "$OUT" | awk '/^shed/ {print $2}')"
 # The daemon survived: still ready, and /statsz agrees it shed. A short
 # settle covers the tail of fire-and-forget teardown.
 sleep 0.5
-curl -fsS "http://${ADDR}/statsz" | grep -q '"rejected": [1-9]' \
+STATSZ="$(curl -fsS "http://${ADDR}/statsz")"
+echo "$STATSZ" | grep -q '"rejected": [1-9]' \
   || { echo "FAIL: /statsz shows no admission rejections"; exit 1; }
-curl -fsS "http://${ADDR}/varz" | grep -q '"pd_live": 0' \
+# The shared-state store, when on, holds one resident PD for its lifetime;
+# any other live PD is a leak.
+WANT_LIVE=0
+echo "$STATSZ" | grep -q '"state_enabled": true' && WANT_LIVE=1
+echo "$STATSZ" | grep -q "\"live_pds\": ${WANT_LIVE}," \
   || { echo "FAIL: live PDs linger after the storm settled"; exit 1; }
 
 # Clean drain on SIGTERM.
