@@ -12,9 +12,9 @@
 //	             [-chaos-latency 100ms]
 //
 // Placement: each worker may hold at most k outstanding dispatcher
-// requests (-bound; 0 auto-sizes k per worker from its /readyz to
-// 4 x executors x jbsq, matching the worker's own admission cap). A new
-// request joins the ready worker with the fewest outstanding. When every
+// requests (-bound; 0 takes k per worker from its /readyz: admit_max,
+// the worker's own admission cap). A new request joins the ready worker
+// with the fewest outstanding, ties spread at random. When every
 // ready worker sits at its bound, the dispatcher answers 429 with
 // Retry-After — it never buffers unboundedly.
 //

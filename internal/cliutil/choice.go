@@ -58,7 +58,8 @@ func (c *Choice) Set(s string) error {
 func (c *Choice) Value() string { return c.value }
 
 // Allowed renders the allowed set as "a|b|c" for usage strings; an empty
-// string in the set renders as '' so optional choices stay visible.
+// string in the set renders as a pair of single quotes so optional
+// choices stay visible.
 func (c *Choice) Allowed() string {
 	parts := make([]string, len(c.allowed))
 	for i, a := range c.allowed {

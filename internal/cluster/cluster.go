@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"sort"
@@ -38,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"jord/internal/jbsq"
 	"jord/internal/server/gateway"
 )
 
@@ -51,11 +53,9 @@ type Config struct {
 	Workers []string
 
 	// Bound is JBSQ's k: the max outstanding dispatcher requests per
-	// worker. 0 auto-sizes each worker from its /readyz document to
-	// 4 x executors x jbsq_bound — the same proportion as the worker's
-	// own default admission cap, so the dispatcher saturates exactly when
-	// the worker would start refusing (DefaultBound until the first
-	// successful poll).
+	// worker. 0 takes each worker's admission cap (admit_max in its
+	// /readyz), so the dispatcher saturates exactly when the worker would
+	// start refusing (DefaultBound until the first successful poll).
 	Bound int
 
 	// HealthInterval is the /readyz polling period (default 250ms;
@@ -334,44 +334,34 @@ func getBody(n int64) *[]byte {
 	return bp
 }
 
-// pick runs the JBSQ(k) scan: among admittable workers not yet tried for
-// this request, reserve a slot on the one with the fewest outstanding
-// requests (ties to the earlier worker — stable, and with equal queues
-// placement quality is identical). Returns the reserved worker (caller
-// MUST release via outstanding.Add(-1)) or nil with anyReady reporting
-// whether ANY admittable worker exists (429 vs 503 at the caller).
-func (d *Dispatcher) pick(tried map[*worker]bool) (wk *worker, anyReady bool) {
+// pick runs the JBSQ(k) scan: among admittable workers that skip does not
+// exclude, reserve a slot on the one with the fewest outstanding requests.
+// The scan starts at a random worker, so ties spread across the fleet.
+// Returns the reserved worker (caller MUST release via outstanding.Add(-1))
+// or nil with anyReady reporting whether ANY admittable worker exists (429
+// vs 503 at the caller).
+func (d *Dispatcher) pick(skip func(*worker) bool) (wk *worker, anyReady bool) {
 	ws := d.snapshot()
 	// The scan-then-reserve pair races with concurrent picks; a failed
 	// reservation rescans. Bounded so pathological contention degrades to
 	// "busy" instead of spinning.
-	for rescan := 0; rescan < 4; rescan++ {
-		var best *worker
-		var bestN int64
+	for rescan := 0; rescan < 4 && len(ws) > 0; rescan++ {
 		anyReady = false
-		for _, w := range ws {
+		i := jbsq.Pick(len(ws), rand.IntN(len(ws)), func(i int) (int64, int64, bool) {
+			w := ws[i]
 			if !w.admittable() {
-				continue
+				return 0, 0, false
 			}
 			anyReady = true
-			if tried[w] {
-				continue
-			}
-			n := w.outstanding.Load()
-			if n >= w.boundNow() {
-				continue
-			}
-			if best == nil || n < bestN {
-				best, bestN = w, n
-			}
-		}
-		if best == nil {
+			return w.outstanding.Load(), w.boundNow(), !skip(w)
+		})
+		if i < 0 {
 			return nil, anyReady
 		}
-		if best.outstanding.Add(1) <= best.boundNow() {
-			return best, true
+		if wk = ws[i]; wk.outstanding.Add(1) <= wk.boundNow() {
+			return wk, true
 		}
-		best.outstanding.Add(-1) // lost the reservation race
+		wk.outstanding.Add(-1) // lost the reservation race
 	}
 	return nil, anyReady
 }

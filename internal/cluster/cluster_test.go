@@ -21,7 +21,7 @@ func stubWorker(t *testing.T, invoke http.HandlerFunc) (addr string) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, `{"ready":true,"executors":2,"jbsq_bound":4}`)
+		io.WriteString(w, `{"ready":true,"executors":2,"admit_max":32}`)
 	})
 	mux.HandleFunc("/invoke/", invoke)
 	srv := httptest.NewServer(mux)
@@ -133,9 +133,12 @@ func TestDrainMarked503Replaced(t *testing.T) {
 	})
 	d, front := newTestDispatcher(t, Config{Workers: []string{draining, healthy}})
 
-	// JBSQ may pick either worker first; run enough requests that the
-	// draining one is hit at least once.
-	for i := 0; i < 8; i++ {
+	// JBSQ may pick either worker first; run requests until the draining
+	// one is hit.
+	for i := 0; d.drainRetries.Load() == 0; i++ {
+		if i == 64 {
+			t.Fatal("no request was placed on the draining worker")
+		}
 		resp := postInvoke(t, front.URL, "echo", "payload")
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
@@ -148,9 +151,6 @@ func TestDrainMarked503Replaced(t *testing.T) {
 	}
 	if d.find(draining) == nil || !d.find(draining).ejected.Load() {
 		t.Fatal("drain-marked worker not ejected")
-	}
-	if d.drainRetries.Load() == 0 {
-		t.Fatal("no drain re-placements recorded")
 	}
 }
 
@@ -196,21 +196,24 @@ func TestTransportErrorReplaced(t *testing.T) {
 	})
 	d, front := newTestDispatcher(t, Config{Workers: []string{deadAddr, healthy}})
 
-	for i := 0; i < 8; i++ {
+	// JBSQ may pick either worker first; run requests until one has been
+	// placed on the dead worker.
+	n := 0
+	for ; n < 8 || !d.find(deadAddr).ejected.Load(); n++ {
+		if n == 64 {
+			t.Fatal("no request was placed on the dead worker")
+		}
 		resp := postInvoke(t, front.URL, "echo", "re-sent body")
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK || string(body) != "re-sent body" {
-			t.Fatalf("request %d: %d %q", i, resp.StatusCode, body)
+			t.Fatalf("request %d: %d %q", n, resp.StatusCode, body)
 		}
-	}
-	if !d.find(deadAddr).ejected.Load() {
-		t.Fatal("dead worker not ejected")
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if served != 8 {
-		t.Fatalf("healthy worker served %d, want all 8", served)
+	if served != n {
+		t.Fatalf("healthy worker served %d, want all %d", served, n)
 	}
 }
 
@@ -263,11 +266,9 @@ func TestJBSQPlacesOnShortestQueue(t *testing.T) {
 	idle := stubWorker(t, func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "fast")
 	})
-	d, front := newTestDispatcher(t, Config{Workers: []string{busy, idle}, Bound: 8})
-
-	// Occupy the busy worker: issue blocked requests until one lands
-	// there (the first goes wherever the tie broke; the second must
-	// avoid the occupied queue... so force occupancy directly).
+	// Only busy is in the set while the blocked request is placed, so it
+	// lands there; idle joins once busy's queue holds it.
+	d, front := newTestDispatcher(t, Config{Workers: []string{busy}, Bound: 8})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -275,33 +276,52 @@ func TestJBSQPlacesOnShortestQueue(t *testing.T) {
 		resp := postInvoke(t, front.URL, "echo", "block")
 		resp.Body.Close()
 	}()
-	select {
-	case <-entered:
-		// The blocked request landed on busy (tie broke toward it).
-	case <-time.After(2 * time.Second):
-		// Tie broke toward idle; that request already finished. Either
-		// way busy has >= as many outstanding as idle from here on.
+	<-entered
+	if err := d.AddWorker(idle); err != nil {
+		t.Fatal(err)
 	}
 
-	bw, iw := d.find(busy), d.find(idle)
+	iw := d.find(idle)
 	for i := 0; i < 6; i++ {
 		before := iw.dispatched.Load()
 		resp := postInvoke(t, front.URL, "echo", "quick")
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if bw.outstanding.Load() > 0 {
-			// The busy queue is strictly deeper: JBSQ must have picked
-			// idle, and the response proves it.
-			if string(body) != "fast" {
-				t.Fatalf("request %d answered %q; placed on the deeper queue", i, body)
-			}
-			if iw.dispatched.Load() != before+1 {
-				t.Fatalf("request %d not dispatched to the idle worker", i)
-			}
+		// The busy queue is strictly deeper: JBSQ must have picked idle,
+		// and the response proves it.
+		if string(body) != "fast" {
+			t.Fatalf("request %d answered %q; placed on the deeper queue", i, body)
+		}
+		if iw.dispatched.Load() != before+1 {
+			t.Fatalf("request %d not dispatched to the idle worker", i)
 		}
 	}
 	close(release)
 	wg.Wait()
+}
+
+// TestJBSQSpreadsTies: with one request in flight at a time every queue
+// is empty, so every placement is a tie; the ties must spread across the
+// workers instead of piling onto one.
+func TestJBSQSpreadsTies(t *testing.T) {
+	a := stubWorker(t, func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "a") })
+	b := stubWorker(t, func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "b") })
+	d, front := newTestDispatcher(t, Config{Workers: []string{a, b}})
+
+	const n = 200
+	for i := 0; i < n; i++ {
+		resp := postInvoke(t, front.URL, "echo", "x")
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: %d", i, resp.StatusCode)
+		}
+	}
+	for _, addr := range []string{a, b} {
+		if got := d.find(addr).dispatched.Load(); got < n/4 {
+			t.Errorf("worker %s got %d of %d sequential requests, want >= %d", addr, got, n, n/4)
+		}
+	}
 }
 
 // TestBodyTooLarge: the buffering bound answers 413 before any worker is
@@ -421,10 +441,10 @@ func TestHealthPollAutoBoundAndReadmission(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		if !r {
 			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintf(w, `{"ready":false,"draining":true,"executors":3,"jbsq_bound":4}`)
+			fmt.Fprintf(w, `{"ready":false,"draining":true,"executors":3,"admit_max":48}`)
 			return
 		}
-		fmt.Fprintf(w, `{"ready":true,"executors":3,"jbsq_bound":4}`)
+		fmt.Fprintf(w, `{"ready":true,"executors":3,"admit_max":48}`)
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -446,7 +466,7 @@ func TestHealthPollAutoBoundAndReadmission(t *testing.T) {
 		}
 	}
 
-	// First poll admits the worker and auto-sizes k = 4 x 3 x 4.
+	// First poll admits the worker and takes its admit_max as k.
 	wait(func() bool { return !w.ejected.Load() && w.boundNow() == 48 }, "auto-sized bound")
 
 	// The worker stops being ready: the health loop must eject it.

@@ -18,6 +18,7 @@ import (
 
 	"jord/internal/metrics/promtest"
 	"jord/internal/server"
+	"jord/internal/server/gateway"
 	"jord/internal/server/pool"
 	"jord/internal/server/router"
 )
@@ -32,6 +33,15 @@ func startRealWorker(t *testing.T, register func(*server.Daemon)) (*server.Daemo
 	// Static admission: these tests assert placement behavior, not the
 	// workers' AIMD policy (which has its own suite in internal/server).
 	cfg.AdmitTarget = -1
+	return startWorker(t, cfg, register)
+}
+
+// startWorker boots a daemon with cfg on loopback and returns once it
+// answers /healthz. Serve builds the daemon's stack on its own goroutine,
+// and a dispatcher admits a worker before its first health poll, so a
+// test that did not wait could reach the worker before it has a gateway.
+func startWorker(t *testing.T, cfg server.Config, register func(*server.Daemon)) (*server.Daemon, string, chan error) {
+	t.Helper()
 	d := server.New(cfg)
 	register(d)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -40,7 +50,19 @@ func startRealWorker(t *testing.T, register func(*server.Daemon)) (*server.Daemo
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- d.Serve(ln) }()
-	return d, ln.Addr().String(), serveErr
+	addr := ln.Addr().String()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		resp, err := http.Get("http://" + addr + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return d, addr, serveErr
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("worker %s never answered /healthz (last error %v)", addr, err)
+		}
+	}
 }
 
 func registerEcho(d *server.Daemon) {
@@ -260,20 +282,13 @@ func TestE2ESaturationPassthrough(t *testing.T) {
 	cfg.Pool = pool.Config{Executors: 1, JBSQBound: 1}
 	cfg.MaxInflight = 1
 	cfg.AdmitTarget = -1
-	d := server.New(cfg)
-	registerEcho(d)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- d.Serve(ln) }()
+	d, addr, serveErr := startWorker(t, cfg, registerEcho)
 	t.Cleanup(func() { shutdownWorker(t, d, serveErr) })
 
 	// Dispatcher bound far above the worker's cap, so saturation hits the
 	// WORKER's admission first and the verdict flows back through.
 	disp := New(Config{
-		Workers:        []string{ln.Addr().String()},
+		Workers:        []string{addr},
 		Bound:          64,
 		HealthInterval: 25 * time.Millisecond,
 	})
@@ -389,35 +404,114 @@ func TestE2EDrainReplaceWorkflow(t *testing.T) {
 		t.Fatalf("remove after drain: %v", err)
 	}
 
-	// Replacement joins and serves. Sequential probes would never reach
-	// it — JBSQ ties (0 outstanding everywhere) break toward the earlier
-	// worker — so drive CONCURRENT slow requests: with worker 2's queue
-	// occupied, the shortest-queue scan must spill onto worker 3.
+	// Replacement joins and serves. With every queue empty each placement
+	// is a tie, and ties spread across the workers, so sequential requests
+	// reach it.
 	if err := disp.AddWorker(addr3); err != nil {
 		t.Fatal(err)
 	}
 	waitReadyWorkers(t, front.URL, 2)
 	w3 := disp.find(addr3)
-	deadline = time.Now().Add(10 * time.Second)
-	for w3.dispatched.Load() == 0 {
-		if time.Now().After(deadline) {
+	for i := 0; w3.dispatched.Load() == 0; i++ {
+		if i == 200 {
 			t.Fatal("replacement worker never received traffic")
 		}
-		var batch sync.WaitGroup
-		for c := 0; c < 8; c++ {
-			batch.Add(1)
-			go func() {
-				defer batch.Done()
-				resp, err := http.Post(front.URL+"/invoke/sleep50", "text/plain", bytes.NewReader([]byte("x")))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}()
+		resp, err := http.Post(front.URL+"/invoke/echo", "text/plain", bytes.NewReader([]byte("x")))
+		if err != nil {
+			t.Fatal(err)
 		}
-		batch.Wait()
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: %d", i, resp.StatusCode)
+		}
+	}
+}
+
+// TestE2EBoundIsWorkerAdmitMax: the dispatcher's per-worker bound is the
+// worker's own admission cap as its /readyz declares it, including a cap
+// set by hand rather than derived from the pool's size.
+func TestE2EBoundIsWorkerAdmitMax(t *testing.T) {
+	cfg := server.DefaultConfig()
+	cfg.Pool = pool.Config{Executors: 2, JBSQBound: 4}
+	cfg.MaxInflight = 4
+	d, addr, ch := startWorker(t, cfg, registerEcho)
+	t.Cleanup(func() { shutdownWorker(t, d, ch) })
+	disp := New(Config{Workers: []string{addr}, HealthInterval: 25 * time.Millisecond})
+	startFront(t, disp, 1)
+
+	w := disp.find(addr)
+	for deadline := time.Now().Add(5 * time.Second); w.boundNow() == DefaultBound; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no health poll sized the worker's bound")
+		}
+	}
+	if got := w.boundNow(); got != 4 {
+		t.Fatalf("bound = %d, want the worker's admit_max 4", got)
+	}
+}
+
+// TestE2EStatszFanoutKeepsWorkerWindow: a dispatcher /statsz scrape reads
+// each worker's document without closing its interval_rps window, so the
+// worker's next /statsz read still counts the requests served before the
+// scrape.
+func TestE2EStatszFanoutKeepsWorkerWindow(t *testing.T) {
+	d, addr, ch := startRealWorker(t, func(d *server.Daemon) {
+		registerEcho(d)
+		d.MustRegister("echo2", func(ctx router.Ctx) ([]byte, error) { return ctx.Payload(), nil })
+	})
+	t.Cleanup(func() { shutdownWorker(t, d, ch) })
+	front := startFront(t, New(Config{Workers: []string{addr}, HealthInterval: 25 * time.Millisecond}), 1)
+
+	workerStatsz := func() gateway.Statsz {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + "/statsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st gateway.Statsz
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	drive := func(fn string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			resp, err := http.Post("http://"+addr+"/invoke/"+fn, "text/plain", strings.NewReader("x"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}
+
+	const n = 10
+	start := time.Now()
+	workerStatsz() // opens the window
+	drive("echo", n)
+	resp, err := http.Get(front.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	drive("echo2", n)
+	st := workerStatsz()
+	window := time.Since(start).Seconds()
+
+	// The window the final read closed is no longer than the test's own
+	// span, so each drive's rate times that span must reach its count.
+	rps := map[string]float64{}
+	for _, f := range st.Funcs {
+		rps[f.Name] = f.IntervalRPS
+	}
+	for _, fn := range []string{"echo", "echo2"} {
+		if got := rps[fn] * window; got < n*(1-1e-9) {
+			t.Errorf("%s interval_rps = %v over a %.3fs span: counts %.2f of its %d requests", fn, rps[fn], window, got, n)
+		}
 	}
 }
 

@@ -175,19 +175,16 @@ func TestFaultResetMidBodyReplays(t *testing.T) {
 	}
 }
 
-// TestFaultStallHedgeRescue: the first placement black-holes; the hedge
-// fires after the (cold) hedge delay, lands on the healthy worker, and
-// the client is rescued long before the request timeout.
+// TestFaultStallHedgeRescue: the first placement black-holes, on
+// whichever worker it lands; the hedge fires after the (cold) hedge delay,
+// lands on the other worker, and the client is rescued long before the
+// request timeout.
 func TestFaultStallHedgeRescue(t *testing.T) {
-	stall := &chaos.Rule{Fault: chaos.FaultStall, Count: 1}
 	front, d, addrs, calls := startFaultRig(t, 2,
 		func(c *Config) {
 			c.Hedge = true
 			c.HedgeDelay = 30 * time.Millisecond
-		}, stall)
-	// The rule can name its target only once the rig has addresses: the
-	// first worker's (JBSQ ties break to it).
-	stall.Worker = addrs[0]
+		}, &chaos.Rule{Fault: chaos.FaultStall, Count: 1})
 
 	start := time.Now()
 	status, _, body := invokeCount(t, front.URL)
@@ -206,12 +203,14 @@ func TestFaultStallHedgeRescue(t *testing.T) {
 	}
 	// The loser is canceled, not left to the 10 s request timeout: its
 	// stalled write ends and the slot it held frees.
-	stalled := d.find(addrs[0])
-	for deadline := time.Now().Add(2 * time.Second); stalled.outstanding.Load() != 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("hedge loser still holds its slot 2 s after losing")
+	for _, addr := range addrs {
+		w := d.find(addr)
+		for deadline := time.Now().Add(2 * time.Second); w.outstanding.Load() != 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("hedge loser still holds its slot 2 s after losing")
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -66,11 +66,9 @@ func (d *Dispatcher) applyVerdict(w *worker, doc gateway.Readyz, err error, epoc
 		w.mu.Unlock()
 		return
 	}
-	// Auto-size the JBSQ bound from the worker's declared capacity: the
-	// same 4 x executors x jbsq proportion as the worker's own default
-	// admission cap. Fixed Config.Bound wins when set.
-	if d.cfg.Bound == 0 && doc.Executors > 0 && doc.JBSQBound > 0 {
-		w.bound.Store(int64(4 * doc.Executors * doc.JBSQBound))
+	// k is the worker's declared admission cap unless Config.Bound fixes it.
+	if d.cfg.Bound == 0 && doc.AdmitMax > 0 {
+		w.bound.Store(doc.AdmitMax)
 	}
 	if doc.Ready && w.ejectEpoch.Load() != epoch {
 		// Stale ready verdict: the worker was passively ejected (dropped a

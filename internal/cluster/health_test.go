@@ -24,7 +24,7 @@ func TestStaleHealthVerdictDiscarded(t *testing.T) {
 		}
 		<-release
 		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, `{"ready":true,"executors":2,"jbsq_bound":4}`)
+		io.WriteString(w, `{"ready":true,"executors":2,"admit_max":32}`)
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)

@@ -243,14 +243,7 @@ func (d *Dispatcher) race(rl *relay, first *worker, pooled *[]byte) {
 
 		case <-hedgeC:
 			hedgeC = nil
-			excl := make(map[*worker]bool, len(rl.tried)+len(active))
-			for wk := range rl.tried {
-				excl[wk] = true
-			}
-			for wk := range active {
-				excl[wk] = true
-			}
-			if hw, _ := d.pick(excl); hw != nil {
+			if hw, _ := d.pick(func(w *worker) bool { return rl.tried[w] || active[w] }); hw != nil {
 				d.hedgesIssued.Add(1)
 				rl.everHedged = true
 				launch(attempt{wk: hw, hedge: true})
@@ -274,7 +267,7 @@ func (d *Dispatcher) race(rl *relay, first *worker, pooled *[]byte) {
 // the dispatcher's own verdict and returns nil.
 func (rl *relay) place() *worker {
 	d, w := rl.d, rl.w
-	wk, anyReady := d.pick(rl.tried)
+	wk, anyReady := d.pick(func(w *worker) bool { return rl.tried[w] })
 	if wk != nil {
 		return wk
 	}

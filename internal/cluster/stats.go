@@ -179,8 +179,8 @@ func (d *Dispatcher) fetchJSON(base, path string, timeout time.Duration, out any
 	return nil
 }
 
-// aggregateStatsz assembles the cluster stats document, fanning the
-// /statsz scrape out to every worker concurrently.
+// aggregateStatsz assembles the cluster stats document, fanning a /statsz
+// peek (one that leaves interval_rps alone) out to every worker at once.
 func (d *Dispatcher) aggregateStatsz() Statsz {
 	doc := Statsz{
 		Readyz:            d.readyzDocNow(),
@@ -219,7 +219,7 @@ func (d *Dispatcher) aggregateStatsz() Statsz {
 		go func() {
 			defer wg.Done()
 			var st gateway.Statsz
-			if err := d.fetchJSON(wk.base, "/statsz", 2*time.Second, &st); err != nil {
+			if err := d.fetchJSON(wk.base, "/statsz?peek", 2*time.Second, &st); err != nil {
 				return
 			}
 			mu.Lock()

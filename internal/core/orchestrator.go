@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 
+	"jord/internal/jbsq"
 	"jord/internal/mem/vmatable"
 	"jord/internal/privlib"
 	"jord/internal/sim/engine"
@@ -188,32 +190,27 @@ func (o *Orchestrator) stageRequest(p *engine.Proc, r *Request) {
 	o.sys.trace(EvStage, r, o.Core, "")
 }
 
-// jbsq scans the executor group and returns the executor with the fewest
-// queued requests (Join-Bounded-Shortest-Queue). Executors at the JBSQ
-// bound are ineligible; if none is eligible it returns nil. When
-// bypassBound is set (internal requests under the default policy), the
-// bound is ignored: nested requests must make forward progress (§3.3).
-// The returned cost models the probe loads with memory-level parallelism.
+// jbsq picks the executor with the fewest queued requests below the JBSQ
+// bound, or nil. When bypassBound is set (internal requests under the
+// default policy), the bound is ignored: nested requests must make forward
+// progress (§3.3). The returned cost models the probe loads with
+// memory-level parallelism.
 func (o *Orchestrator) jbsq(bypassBound bool) (*Executor, engine.Time) {
 	var probeSum engine.Time
-	var best *Executor
-	bestLen := 1 << 30
+	bound := int64(o.sys.Cfg.JBSQBound)
+	if bypassBound {
+		bound = math.MaxInt64
+	}
 	o.rr++
-	for i := range o.group {
-		e := o.group[(o.rr+i)%len(o.group)]
-		probeSum += o.sys.MM.LinePing(o.Core, e.Core, qAddr(e)) +
-			o.sys.M.Cfg.Instr(probeInstr)
-		qlen := e.queueLen()
-		if qlen < bestLen {
-			bestLen = qlen
-			best = e
-		}
+	i := jbsq.Pick(len(o.group), o.rr, func(i int) (int64, int64, bool) {
+		e := o.group[i]
+		probeSum += o.sys.MM.LinePing(o.Core, e.Core, qAddr(e)) + o.sys.M.Cfg.Instr(probeInstr)
+		return int64(e.queueLen()), bound, true
+	})
+	if i < 0 {
+		return nil, probeSum / dispatchMLP
 	}
-	cost := probeSum / dispatchMLP
-	if !bypassBound && best != nil && bestLen >= o.sys.Cfg.JBSQBound {
-		best = nil
-	}
-	return best, cost
+	return o.group[i], probeSum / dispatchMLP
 }
 
 // qAddr gives each executor queue a stable pseudo-address for the cache

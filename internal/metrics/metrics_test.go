@@ -1,9 +1,9 @@
 package metrics
 
 import (
-	"sync"
 	"math/rand/v2"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )

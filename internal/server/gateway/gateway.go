@@ -160,18 +160,17 @@ type Readyz struct {
 	// threshold, externals refused to protect internal progress.
 	Degraded bool `json:"degraded"`
 	// AdmitLimit is the current (AIMD-steered) admission limit vs its cap.
+	// A front-end dispatcher (internal/cluster) takes AdmitMax as its
+	// per-worker outstanding bound (JBSQ k), so it saturates exactly when
+	// the worker would start refusing.
 	AdmitLimit int64 `json:"admit_limit"`
 	AdmitMax   int64 `json:"admit_max"`
 	// OpenBreakers lists functions currently quarantined (breaker open or
 	// half-open). The node stays ready: other functions serve normally.
 	OpenBreakers []string `json:"open_breakers,omitempty"`
-	// Executors and JBSQBound size the worker for a front-end dispatcher:
-	// internal/cluster auto-sizes its per-worker outstanding bound (JBSQ k)
-	// to 4 x executors x jbsq — the same proportion as the worker's own
-	// default admission cap, so the dispatcher saturates exactly when the
-	// worker would start refusing.
+	// Executors is the pool's executor count, echoed per worker in a
+	// dispatcher's /workers.
 	Executors int `json:"executors"`
-	JBSQBound int `json:"jbsq_bound"`
 }
 
 // handleReadyz answers 200 while the node should receive traffic and 503
@@ -180,15 +179,13 @@ type Readyz struct {
 // breakers alone do not fail readiness: they quarantine single functions,
 // not the node.
 func (g *Gateway) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	cfg := g.Pool.Config().Normalized()
 	doc := Readyz{
 		Draining:     g.draining.Load(),
 		Degraded:     g.Degraded(),
 		AdmitLimit:   g.Adm.Limit(),
 		AdmitMax:     g.Adm.Max(),
 		OpenBreakers: g.Breakers.NotClosed(),
-		Executors:    cfg.Executors,
-		JBSQBound:    cfg.JBSQBound,
+		Executors:    g.Pool.Config().Normalized().Executors,
 	}
 	doc.Ready = !doc.Draining && !doc.Degraded
 	status := http.StatusOK
@@ -435,6 +432,9 @@ func (g *Gateway) snapshot(window bool) Statsz {
 	return doc
 }
 
-func (g *Gateway) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	WriteJSON(w, http.StatusOK, g.Snapshot())
+// handleStatsz answers the stats document. ?peek leaves the interval_rps
+// window open: the dispatcher's fan-out reads that way, so its scrapes do
+// not shorten the window an operator's own /statsz reads see.
+func (g *Gateway) handleStatsz(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, g.snapshot(!r.URL.Query().Has("peek")))
 }

@@ -168,15 +168,15 @@ func TestConcurrentDrainInvoke(t *testing.T) {
 // executor are reaped by the background sweeper — their inflight slots
 // release without waiting for a dequeue that may never come.
 func TestQueueSweepExpiry(t *testing.T) {
-	release := make(chan struct{})
+	release, running := make(chan struct{}), make(chan struct{})
 	p := startPool(t, Config{Executors: 1, Orchestrators: 1, JBSQBound: 1, ExternalQueueCap: 64,
 		SweepInterval: time.Millisecond},
 		func(reg *router.Registry) {
-			reg.MustRegister("block", func(ctx router.Ctx) ([]byte, error) { <-release; return nil, nil })
+			reg.MustRegister("block", func(ctx router.Ctx) ([]byte, error) { close(running); <-release; return nil, nil })
 			reg.MustRegister("fast", func(ctx router.Ctx) ([]byte, error) { return nil, nil })
 		})
 	go p.Invoke(context.Background(), "block", nil) //nolint:errcheck
-	time.Sleep(10 * time.Millisecond)               // blocker owns the only executor
+	<-running                                       // the blocker owns the only executor
 
 	const n = 4
 	errCh := make(chan error, n)

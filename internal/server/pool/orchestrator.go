@@ -1,8 +1,11 @@
 package pool
 
 import (
+	"math"
 	"sync"
 	"time"
+
+	"jord/internal/jbsq"
 )
 
 // orchestrator is the live port of core.Orchestrator: it owns an external
@@ -128,8 +131,8 @@ func (o *orchestrator) run() {
 			continue
 		}
 
-		target := o.jbsq(internal)
-		if target == nil {
+		i := o.jbsq(internal)
+		if i < 0 {
 			// Every executor queue is at the bound: wait for a dequeue
 			// (capacityFreed) or a new internal arrival.
 			o.cond.Wait()
@@ -143,30 +146,24 @@ func (o *orchestrator) run() {
 			o.extQ.PopFront()
 		}
 		o.mu.Unlock()
-		target.enqueue(r)
+		o.group[i].enqueue(r)
 		o.pool.stats.Dispatched.AddShard(o.id, 1)
 		o.mu.Lock()
 	}
 }
 
-// jbsq scans the executor group and returns the member with the shortest
-// queue (Join-Bounded-Shortest-Queue). External requests only dispatch
-// below the JBSQ bound; internal requests ignore it (bypassBound). The
-// queue lengths are atomic reads — like the simulator's cross-core probe
-// loads, they are racy against concurrent enqueues by other orchestrators,
-// which bounds (not eliminates) queue depth exactly as real JBSQ does.
-func (o *orchestrator) jbsq(bypassBound bool) *executor {
-	var best *executor
-	bestLen := int32(1 << 30)
+// jbsq picks the group member with the shortest queue below the JBSQ
+// bound, or -1; internal requests ignore the bound. The queue lengths are
+// atomic reads — like the simulator's cross-core probe loads, they are
+// racy against concurrent enqueues by other orchestrators, which bounds
+// (not eliminates) queue depth exactly as real JBSQ does.
+func (o *orchestrator) jbsq(internal bool) int {
+	bound := int64(o.pool.cfg.JBSQBound)
+	if internal {
+		bound = math.MaxInt64
+	}
 	o.rr++
-	for i := range o.group {
-		e := o.group[(o.rr+i)%len(o.group)]
-		if l := e.qlen.Load(); l < bestLen {
-			bestLen, best = l, e
-		}
-	}
-	if !bypassBound && best != nil && bestLen >= int32(o.pool.cfg.JBSQBound) {
-		return nil
-	}
-	return best
+	return jbsq.Pick(len(o.group), o.rr, func(i int) (int64, int64, bool) {
+		return int64(o.group[i].qlen.Load()), bound, true
+	})
 }
