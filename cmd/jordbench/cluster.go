@@ -9,7 +9,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -58,11 +57,7 @@ type clusterPoint struct {
 
 // clusterReport is the whole BENCH_cluster.json document.
 type clusterReport struct {
-	GeneratedBy string `json:"generated_by"`
-	GoVersion   string `json:"go_version"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	NumCPU      int    `json:"num_cpu"`
-	Box         string `json:"box"` // the machine that made the numbers
+	reportHead
 
 	RequestsPerPoint int `json:"requests_per_point"`
 	ClientWorkers    int `json:"client_workers"`
@@ -305,21 +300,6 @@ func parseWorkerCounts(s string) ([]int, error) {
 	return out, nil
 }
 
-// boxStamp names the machine for the report: a curve means nothing
-// without the box it was drawn on.
-func boxStamp() string {
-	model := "unknown cpu"
-	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
-		for _, line := range strings.Split(string(b), "\n") {
-			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
-				model = strings.TrimSpace(v)
-				break
-			}
-		}
-	}
-	return fmt.Sprintf("%s, %d cpus, %s/%s", model, runtime.NumCPU(), runtime.GOOS, runtime.GOARCH)
-}
-
 // runCluster sweeps the dispatcher over 1→N in-process workers on
 // loopback and writes BENCH_cluster.json. It returns whether the
 // -cluster-gate checks failed (the caller exits nonzero).
@@ -331,11 +311,7 @@ func runCluster(out string, requests, clients int, counts string, gate bool) boo
 	payload := []byte("jordbench-cluster-payload-64-bytes-xxxxxxxxxxxxxxxxxxxxxxxxxxxxx")
 
 	report := clusterReport{
-		GeneratedBy:      "jordbench -cluster",
-		GoVersion:        runtime.Version(),
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		NumCPU:           runtime.NumCPU(),
-		Box:              boxStamp(),
+		reportHead:       newReportHead("jordbench -cluster"),
 		RequestsPerPoint: requests,
 		ClientWorkers:    clients,
 	}
@@ -357,19 +333,7 @@ func runCluster(out string, requests, clients int, counts string, gate bool) boo
 		report.Points = append(report.Points, pt)
 	}
 
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	buf = append(buf, '\n')
-	if out == "-" {
-		os.Stdout.Write(buf)
-	} else {
-		if err := os.WriteFile(out, buf, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", out)
-	}
+	writeReport(out, report)
 
 	if gate {
 		return !checkClusterGates(report)

@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net"
-	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -79,10 +77,7 @@ type traceOverhead struct {
 
 // liveReport is the whole BENCH_live.json document.
 type liveReport struct {
-	GeneratedBy string `json:"generated_by"`
-	GoVersion   string `json:"go_version"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	NumCPU      int    `json:"num_cpu"`
+	reportHead
 
 	Executors     int `json:"executors"`
 	Orchestrators int `json:"orchestrators"`
@@ -136,10 +131,7 @@ func runLive(out string, requests, workers int, cores string, gate bool) bool {
 	eff := p.Config()
 
 	report := liveReport{
-		GeneratedBy:   "jordbench -live",
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
+		reportHead:    newReportHead("jordbench -live"),
 		Executors:     eff.Executors,
 		Orchestrators: eff.Orchestrators,
 		JBSQBound:     eff.JBSQBound,
@@ -215,19 +207,7 @@ func runLive(out string, requests, workers int, cores string, gate bool) bool {
 		}
 	}
 
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	buf = append(buf, '\n')
-	if out == "-" {
-		os.Stdout.Write(buf)
-	} else {
-		if err := os.WriteFile(out, buf, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", out)
-	}
+	writeReport(out, report)
 
 	if gate {
 		return !checkLiveGates(report)

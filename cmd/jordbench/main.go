@@ -4,14 +4,15 @@
 // Usage:
 //
 //	jordbench -workload hotel -system jord -loads 1,2,4,6 [-measure 5000]
+//	          [-warmup 300] [-seed 1] [-trials 1]
 //	jordbench -live [-live-out BENCH_live.json] [-live-requests 50000] [-live-workers 16]
 //	          [-live-cores 1,2,4,8,16,32] [-live-gate]
 //	jordbench -cluster [-cluster-out BENCH_cluster.json] [-cluster-nodes 1,2,4]
 //	          [-cluster-requests 20000] [-cluster-workers 16] [-cluster-gate]
 //	jordbench -state [-state-out BENCH_state.json] [-state-requests 30000] [-state-workers 16]
-//	jordbench ... [-cpuprofile cpu.out] [-mutexprofile mutex.out] [-blockprofile block.out]
 //
 // Loads are in MRPS. Systems: jord | jordni | jordbt | nightcore.
+// -trials > 1 runs independent seeds per point and adds 95% CIs.
 //
 // With -live, instead of sweeping the simulator, jordbench drives the live
 // serving path (internal/server/pool) in-process under sustained concurrent
@@ -34,11 +35,6 @@
 // efficiency at the largest machine-feasible point falls below 70%, or if
 // a 4-core point (on a >= 4 CPU machine) fails to reach 2x the 1-core
 // throughput.
-//
-// The -cpuprofile / -mutexprofile / -blockprofile flags write pprof
-// profiles covering the whole run (mutex and block profiling are enabled
-// at full rate when requested) — the tooling loop for finding cross-core
-// contention in the live path.
 //
 // With -cluster, jordbench boots N in-process jordd workers on loopback
 // behind the JBSQ(k) front-end dispatcher (internal/cluster) and measures
@@ -128,10 +124,6 @@ func main() {
 		liveCores    = flag.String("live-cores", "1,2,4,8,16,32", "comma-separated core counts for the -live scaling sweep ('' = skip)")
 		liveGate     = flag.Bool("live-gate", false, "exit nonzero if -live misses the 0 allocs/op or scaling-efficiency gates")
 
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		mutexprofile = flag.String("mutexprofile", "", "write a mutex-contention profile to this file (enables full-rate mutex profiling)")
-		blockprofile = flag.String("blockprofile", "", "write a blocking profile to this file (enables full-rate block profiling)")
-
 		clusterBench    = flag.Bool("cluster", false, "benchmark the JBSQ dispatcher over N in-process workers on loopback")
 		clusterOut      = flag.String("cluster-out", "BENCH_cluster.json", "output file for -cluster ('-' = stdout)")
 		clusterRequests = flag.Int("cluster-requests", 20000, "measured requests per -cluster point")
@@ -153,17 +145,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	stopProfiles := startProfiles(*cpuprofile, *mutexprofile, *blockprofile)
-
 	if *live {
 		if *liveRequests < 1 || *liveWorkers < 1 {
 			fmt.Fprintln(os.Stderr, "jordbench: -live-requests and -live-workers must be positive")
 			flag.Usage()
 			os.Exit(2)
 		}
-		gateFailed := runLive(*liveOut, *liveRequests, *liveWorkers, *liveCores, *liveGate)
-		stopProfiles()
-		if gateFailed {
+		if runLive(*liveOut, *liveRequests, *liveWorkers, *liveCores, *liveGate) {
 			os.Exit(1)
 		}
 		return
@@ -175,9 +163,7 @@ func main() {
 			flag.Usage()
 			os.Exit(2)
 		}
-		gateFailed := runCluster(*clusterOut, *clusterRequests, *clusterClients, *clusterNodes, *clusterGate)
-		stopProfiles()
-		if gateFailed {
+		if runCluster(*clusterOut, *clusterRequests, *clusterClients, *clusterNodes, *clusterGate) {
 			os.Exit(1)
 		}
 		return
@@ -190,10 +176,8 @@ func main() {
 			os.Exit(2)
 		}
 		runState(*stateOut, *stateRequests, *stateWorkers)
-		stopProfiles()
 		return
 	}
-	defer stopProfiles()
 
 	if *trials > 1 {
 		runSampled(workload.Value(), system.Value(), *loads, *warmup, *measure, *seed, *trials)

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"math/rand"
@@ -51,9 +50,7 @@ type stateResult struct {
 
 // stateReport is the whole BENCH_state.json document.
 type stateReport struct {
-	GeneratedBy string `json:"generated_by"`
-	GoVersion   string `json:"go_version"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
+	reportHead
 
 	Scenarios []stateResult `json:"scenarios"`
 
@@ -248,11 +245,7 @@ func socialPick(prefix string, workers int) func(w, i int) (string, []byte) {
 // BENCH_state.json. It exits nonzero if the snapshot read path allocates
 // (the 0-allocs/op gate) or the copy-reduction criterion fails.
 func runState(out string, requests, workers int) {
-	report := stateReport{
-		GeneratedBy: "jordbench -state",
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-	}
+	report := stateReport{reportHead: newReportHead("jordbench -state")}
 
 	blob := make([]byte, 4096)
 	for i := range blob {
@@ -372,19 +365,7 @@ func runState(out string, requests, workers int) {
 			sc.Name, sc.ThroughputRPS, sc.P50Us, sc.P99Us, sc.AllocsPerOp, sc.CopiedBytesPerOp)
 	}
 
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	buf = append(buf, '\n')
-	if out == "-" {
-		os.Stdout.Write(buf)
-	} else {
-		if err := os.WriteFile(out, buf, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", out)
-	}
+	writeReport(out, report)
 
 	// Regression gates (CI smoke): the snapshot read path must stay
 	// allocation-free, and the copy reduction must hold.

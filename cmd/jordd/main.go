@@ -5,13 +5,9 @@
 //
 // Usage:
 //
-//	jordd [-addr :8034] [-executors N] [-orchestrators N] [-jbsq 4]
-//	      [-queue-cap 256] [-num-pds 4096] [-max-inflight N]
-//	      [-admit-target 5ms] [-admit-interval 100ms] [-shed-margin 0]
-//	      [-breaker-window 10s] [-breaker-cooldown 2s] [-breaker-ratio 0.5]
-//	      [-state-cap 67108864] [-state-global-ro-threshold 64]
-//	      [-timeout 30s] [-exec-timeout 0] [-drain-timeout 30s]
-//	      [-max-body 1048576] [-dedup-cache 4096] [-edge] [-pprof addr]
+//	jordd [-addr :8034] [-executors N] [-jbsq 4] [-queue-cap 256]
+//	      [-num-pds 4096] [-max-inflight N] [-exec-timeout 0] [-edge]
+//	      [-pprof addr]
 //
 // Endpoints:
 //
@@ -25,31 +21,38 @@
 //	GET  /metrics      /statsz in Prometheus text format, plus latency and
 //	                   stage-duration distributions
 //
+// Fixed values: one orchestrator per 8 executors; a 30s request deadline;
+// bodies over 1 MiB get 413; a 4096-entry idempotent-replay cache for
+// X-Jord-Idempotency-Key. Library callers set the first three through
+// pool.Config.Orchestrators and server.Config (RequestTimeout,
+// MaxBodyBytes).
+//
 // Overload control (see README "Overload control & degraded modes"): the
-// admission cap is steered adaptively by queue delay (-admit-target, 0 to
-// pin the static cap), each function gets a circuit breaker
-// (-breaker-window 0 to disable), and external requests are shed with 503
-// while the free-PD supply nears the internal reserve (-shed-margin, -1
-// to disable). Every 429/503 carries Retry-After.
+// admission cap is steered adaptively toward a 5ms queue delay over 100ms
+// windows, each function gets a circuit breaker (10s window, trips at a
+// 0.5 failure ratio, 2s cooldown), and external requests are shed with
+// 503 while at most the internal PD reserve plus half of it is free.
+// Every 429/503 carries Retry-After. Library callers tune these through
+// server.Config (AdmitTarget, AdmitInterval, Breaker*) and pool.Config
+// (PDShedMargin).
 //
 // With -pprof addr, net/http/pprof is served on a separate listener (keep
 // it off the public address), e.g. `-pprof localhost:6060` then
 // `go tool pprof http://localhost:6060/debug/pprof/profile`.
 //
 // Shared state (see README "Stateful serverless"): functions share a
-// two-tier KV whose values live in VMAs behind the permission model.
-// -state-cap bounds its committed bytes (0 disables the tier entirely);
-// -state-global-ro-threshold is the read count at which a hot key promotes
-// to a global-RO mapping (the VTE G bit; 0 disables promotion). /statsz
+// two-tier KV whose values live in VMAs behind the permission model. It
+// holds at most 64 MiB of committed bytes, and a key read 64 times since
+// its last write promotes to a global-RO mapping (the VTE G bit). /statsz
 // carries the store's counters under "state".
 //
 // Built-in functions (a demo function set exercising the runtime,
-// including nested calls): echo, upper, hash, sleep, fanout, chain — plus,
-// while shared state is enabled, the stateful social-network set
-// social.follow / social.post / social.timeline / social.read /
-// social.profile (drive it with jordload -mix social).
+// including nested calls): echo, upper, hash, sleep, fanout, chain — plus
+// the stateful social-network set social.follow / social.post /
+// social.timeline / social.read / social.profile (drive it with jordload
+// -mix social).
 // SIGINT/SIGTERM drains gracefully: health goes 503, in-flight requests
-// finish (bounded by -drain-timeout), then the process exits.
+// finish (bounded by 30s), then the process exits.
 package main
 
 import (
@@ -70,6 +73,7 @@ import (
 
 	"jord"
 	"jord/internal/cliutil"
+	"jord/internal/server"
 	"jord/internal/workloads"
 )
 
@@ -78,37 +82,21 @@ func main() {
 	log.SetPrefix("jordd: ")
 
 	var (
-		addr          = flag.String("addr", ":8034", "HTTP listen address")
-		executors     = cliutil.NewNonNegInt(0)
-		orchestrators = cliutil.NewNonNegInt(0)
-		jbsq          = cliutil.NewNonNegInt(0)
-		queueCap      = cliutil.NewNonNegInt(0)
-		numPDs        = cliutil.NewNonNegInt(0)
-		maxInflight   = cliutil.NewNonNegInt(0)
-		admitTarget   = flag.Duration("admit-target", 5*time.Millisecond, "adaptive admission queue-delay SLO (0 = static cap only)")
-		admitInterval = flag.Duration("admit-interval", 100*time.Millisecond, "adaptive admission AIMD window")
-		shedMargin    = flag.Int("shed-margin", 0, "shed externals while free PDs <= reserve+margin (0 = auto, -1 = off)")
-		brkWindow     = flag.Duration("breaker-window", 10*time.Second, "per-function circuit-breaker failure window (0 = breakers off)")
-		brkCooldown   = flag.Duration("breaker-cooldown", 2*time.Second, "open-breaker cooldown before the half-open probe")
-		brkRatio      = flag.Float64("breaker-ratio", 0.5, "windowed failure ratio that trips a breaker")
-		stateCap      = cliutil.NewNonNegInt(64 << 20)
-		stateRO       = cliutil.NewNonNegInt(64)
-		timeout       = flag.Duration("timeout", 30*time.Second, "per-request deadline (0 = none)")
-		execTimeout   = flag.Duration("exec-timeout", 0, "watchdog threshold for stuck invocations (0 = off)")
-		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
-		maxBody       = flag.Int64("max-body", 1<<20, "max /invoke payload bytes")
-		dedupCache    = flag.Int("dedup-cache", 4096, "idempotent-replay cache entries for X-Jord-Idempotency-Key (0 = off)")
-		edge          = flag.Bool("edge", false, "serve through the zero-allocation HTTP edge instead of net/http")
-		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
+		addr        = flag.String("addr", ":8034", "HTTP listen address")
+		executors   = cliutil.NewNonNegInt(0)
+		jbsq        = cliutil.NewNonNegInt(0)
+		queueCap    = cliutil.NewNonNegInt(0)
+		numPDs      = cliutil.NewNonNegInt(0)
+		maxInflight = cliutil.NewNonNegInt(0)
+		execTimeout = flag.Duration("exec-timeout", 0, "watchdog threshold for stuck invocations (0 = off)")
+		edge        = flag.Bool("edge", false, "serve through the zero-allocation HTTP edge instead of net/http")
+		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
 	)
 	flag.Var(executors, "executors", "executor goroutines (0 = GOMAXPROCS)")
-	flag.Var(orchestrators, "orchestrators", "orchestrator goroutines (0 = executors/8)")
 	flag.Var(jbsq, "jbsq", "JBSQ(k) per-executor queue bound (0 = 4)")
 	flag.Var(queueCap, "queue-cap", "external queue capacity per orchestrator (0 = 256)")
 	flag.Var(numPDs, "num-pds", "protection-domain space size (0 = 4096)")
 	flag.Var(maxInflight, "max-inflight", "admission cap on concurrent requests (0 = auto)")
-	flag.Var(stateCap, "state-cap", "shared-state tier byte cap (0 = disable the tier)")
-	flag.Var(stateRO, "state-global-ro-threshold", "reads before a hot state key promotes to global-RO (0 = never promote)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "jordd: unexpected arguments: %v\n", flag.Args())
@@ -119,58 +107,18 @@ func main() {
 	cfg := jord.DefaultServerConfig()
 	cfg.Addr = *addr
 	cfg.Pool.Executors = executors.Value()
-	cfg.Pool.Orchestrators = orchestrators.Value()
 	cfg.Pool.JBSQBound = jbsq.Value()
 	cfg.Pool.ExternalQueueCap = queueCap.Value()
 	cfg.Pool.NumPDs = numPDs.Value()
 	// The watchdog flags (never kills — cancellation is cooperative)
 	// invocations alive past the threshold, on /statsz counters.
 	cfg.Pool.ExecTimeout = *execTimeout
-	cfg.Pool.PDShedMargin = *shedMargin
 	cfg.MaxInflight = maxInflight.Value()
-	// 0 on the CLI means "off"; the server layer reads < 0 as off and 0 as
-	// its own default, so translate.
-	cfg.AdmitTarget = *admitTarget
-	if *admitTarget == 0 {
-		cfg.AdmitTarget = -1
-	}
-	cfg.AdmitInterval = *admitInterval
-	cfg.BreakerWindow = *brkWindow
-	if *brkWindow == 0 {
-		cfg.BreakerWindow = -1
-	}
-	cfg.BreakerCooldown = *brkCooldown
-	cfg.BreakerRatio = *brkRatio
-	cfg.RequestTimeout = *timeout
-	if *timeout == 0 {
-		cfg.RequestTimeout = -1 // explicit "none"
-	}
-	cfg.DrainTimeout = *drainTimeout
-	cfg.MaxBodyBytes = *maxBody
-	// Same translation for the replay cache: 0 on the CLI means "off".
-	cfg.DedupCache = *dedupCache
-	if *dedupCache == 0 {
-		cfg.DedupCache = -1
-	}
 	cfg.Edge = *edge
-	// Same 0-means-off translation for the state knobs: the server layer
-	// reads < 0 as off and 0 as its own default.
-	cfg.StateCap = int64(stateCap.Value())
-	if stateCap.Value() == 0 {
-		cfg.StateCap = -1
-	}
-	cfg.StatePromoteAfter = stateRO.Value()
-	if stateRO.Value() == 0 {
-		cfg.StatePromoteAfter = -1
-	}
 
 	d := jord.NewServer(cfg)
 	registerBuiltins(d)
-	if cfg.StateCap >= 0 {
-		// The stateful social-network set rides on the shared-state tier, so
-		// it only deploys while the tier exists.
-		workloads.RegisterSocialLive(d.Reg)
-	}
+	workloads.RegisterSocialLive(d.Reg)
 
 	if *pprofAddr != "" {
 		// pprof rides a DEDICATED mux on its own listener: registering on
@@ -209,7 +157,7 @@ func main() {
 	go func() {
 		defer close(drained)
 		s := <-sigs
-		log.Printf("caught %v, draining (up to %v)", s, cfg.DrainTimeout)
+		log.Printf("caught %v, draining (up to %v)", s, server.DrainTimeout)
 		if err := d.Shutdown(context.Background()); err != nil {
 			log.Printf("drain: %v", err)
 		}

@@ -9,10 +9,12 @@
 // Usage:
 //
 //	jordload [-addr 127.0.0.1:8034] [-fn echo] [-rps 100] [-duration 10s]
-//	         [-payload hello] [-mix none] [-users 64] [-timeout 5s]
-//	         [-abandon 0] [-seed 1]
-//	         [-retries 0] [-retry-budget 0.2] [-retry-base 20ms] [-idem]
-//	         [-max-p99 0] [-min-ok 0] [-baseline-rps 0] [-trace]
+//	         [-payload hello] [-mix none] [-users 64] [-abandon 0]
+//	         [-retries 0] [-retry-base 20ms] [-max-p99 0] [-min-ok 0]
+//	         [-trace]
+//
+// Each request has a 5s client timeout, and the arrival process is seeded
+// with 1, so a run is reproducible.
 //
 // With -trace, jordload pulls the server's /tracez after the run and
 // prints per-stage latency attribution (parse/admit/queue/exec/...) plus
@@ -20,18 +22,13 @@
 //
 // After the run jordload queries the server's /statsz for its core and
 // executor counts and prints a per-core throughput summary: achieved ok
-// rps divided by the executors the server actually has cores for. With
-// -baseline-rps (the measured single-core throughput, e.g. from the
-// scaling curve in BENCH_live.json) it also prints scaling efficiency —
-// achieved / (baseline x effective cores) — turning any load run into a
-// multicore scaling check against a known 1-core reference.
+// rps divided by the executors the server actually has cores for.
 //
 // -mix social replaces the single -fn/-payload stream with the stateful
 // social-network mix jordd deploys over the shared-state tier: 60%
 // social.timeline reads, 25% social.post, 10% social.follow, 5%
 // social.profile, over a Zipf-skewed population of -users users (hot users
 // concentrate reads, so the store's global-RO promotion path lights up).
-// The per-arrival draw comes from -seed, so a run is reproducible.
 //
 // -abandon cancels that fraction of requests mid-flight (after a random
 // delay up to half the client timeout) — impatient clients hanging up.
@@ -40,10 +37,9 @@
 //
 // Shed responses (429/503) may be retried with -retries > 0: jittered
 // exponential backoff from -retry-base, never sooner than the server's
-// Retry-After hint, and globally capped by -retry-budget — retries stop
-// once they exceed that fraction of requests sent, so a storm of sheds
-// cannot amplify itself into more offered load (the retry-budget rule
-// from SRE practice).
+// Retry-After hint, and globally capped at 20% of requests sent, so a
+// storm of sheds cannot amplify itself into more offered load (the
+// retry-budget rule from SRE practice).
 //
 // -max-p99 and -min-ok turn the run into a pass/fail smoke check: exit 1
 // if the ok-latency p99 exceeds the bound or fewer requests succeeded.
@@ -71,29 +67,31 @@ import (
 	"jord/internal/server/gateway"
 )
 
+// Fixed run parameters.
+const (
+	timeout     = 5 * time.Second // per-request client timeout
+	seed        = 1               // arrival-process seed
+	retryBudget = 0.2             // global retry cap as a fraction of requests sent
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("jordload: ")
 
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8034", "jordd host:port")
-		fn          = flag.String("fn", "echo", "function to invoke")
-		rps         = flag.Float64("rps", 100, "offered load in requests/second (open loop)")
-		duration    = flag.Duration("duration", 10*time.Second, "load duration")
-		payload     = flag.String("payload", "hello", "request payload")
-		mix         = cliutil.NewChoice("none", "none", "social")
-		users       = cliutil.NewNonNegInt(64)
-		timeout     = flag.Duration("timeout", 5*time.Second, "per-request client timeout")
-		abandon     = flag.Float64("abandon", 0, "fraction of requests canceled mid-flight [0,1]")
-		seed        = flag.Uint64("seed", 1, "arrival-process seed")
-		retries     = flag.Int("retries", 0, "max retries per request on 429/503")
-		retryBudget = flag.Float64("retry-budget", 0.2, "global retry cap as a fraction of requests sent")
-		retryBase   = flag.Duration("retry-base", 20*time.Millisecond, "backoff base; attempt n waits ~base*2^n, jittered")
-		tracez      = flag.Bool("trace", false, "after the run, pull the server's /tracez and print stage attribution")
-		idem        = flag.Bool("idem", false, "stamp a stable X-Jord-Idempotency-Key per logical request, so retries replay server-side instead of re-executing")
-		maxP99      = flag.Duration("max-p99", 0, "fail the run if ok-latency p99 exceeds this (0 = off)")
-		minOK       = flag.Uint64("min-ok", 0, "fail the run if fewer requests succeed (0 = off)")
-		baseline    = flag.Float64("baseline-rps", 0, "measured 1-core throughput for the scaling-efficiency summary (0 = skip)")
+		addr      = flag.String("addr", "127.0.0.1:8034", "jordd host:port")
+		fn        = flag.String("fn", "echo", "function to invoke")
+		rps       = flag.Float64("rps", 100, "offered load in requests/second (open loop)")
+		duration  = flag.Duration("duration", 10*time.Second, "load duration")
+		payload   = flag.String("payload", "hello", "request payload")
+		mix       = cliutil.NewChoice("none", "none", "social")
+		users     = cliutil.NewNonNegInt(64)
+		abandon   = flag.Float64("abandon", 0, "fraction of requests canceled mid-flight [0,1]")
+		retries   = flag.Int("retries", 0, "max retries per request on 429/503")
+		retryBase = flag.Duration("retry-base", 20*time.Millisecond, "backoff base; attempt n waits ~base*2^n, jittered")
+		tracez    = flag.Bool("trace", false, "after the run, pull the server's /tracez and print stage attribution")
+		maxP99    = flag.Duration("max-p99", 0, "fail the run if ok-latency p99 exceeds this (0 = off)")
+		minOK     = flag.Uint64("min-ok", 0, "fail the run if fewer requests succeed (0 = off)")
 	)
 	flag.Var(mix, "mix", "workload mix: none (single -fn) or social (stateful social-network mix)")
 	flag.Var(users, "users", "user-population size for -mix social")
@@ -113,8 +111,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *retries < 0 || *retryBudget < 0 {
-		fmt.Fprintln(os.Stderr, "jordload: -retries and -retry-budget must be non-negative")
+	if *retries < 0 {
+		fmt.Fprintln(os.Stderr, "jordload: -retries must be non-negative")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -129,7 +127,7 @@ func main() {
 		return fmt.Sprintf("http://%s/invoke/%s", *addr, fn)
 	}
 	client := &http.Client{
-		Timeout: *timeout,
+		Timeout: timeout,
 		Transport: &http.Transport{
 			MaxIdleConns:        4096,
 			MaxIdleConnsPerHost: 4096,
@@ -165,16 +163,15 @@ func main() {
 		}
 	}
 	// retryAllowed enforces the global budget: total retries stay under
-	// -retry-budget x requests sent so far. Checked per retry, so the cap
+	// retryBudget x requests sent so far. Checked per retry, so the cap
 	// tracks the live run, not a final tally.
 	retryAllowed := func() bool {
-		return float64(retriesIssued.Load()+1) <= *retryBudget*float64(sent.Load())
+		return float64(retriesIssued.Load()+1) <= retryBudget*float64(sent.Load())
 	}
 
 	// fire sends one request (with retries); abandonAfter > 0 cancels it
 	// after that delay (the client walks away; the runtime finds out via
 	// the closed connection / expired gateway context).
-	var idemSeq atomic.Uint64
 	fire := func(url, payload string, abandonAfter time.Duration) {
 		defer inflight.Done()
 		ctx := context.Background()
@@ -185,12 +182,6 @@ func main() {
 			stop := time.AfterFunc(abandonAfter, cancel)
 			defer stop.Stop()
 		}
-		// One key for ALL attempts of this logical request: a retry that
-		// races a late completion replays the recorded answer.
-		var idemKey string
-		if *idem {
-			idemKey = fmt.Sprintf("jordload-%d-%d", *seed, idemSeq.Add(1))
-		}
 		t0 := time.Now()
 		for attempt := 0; ; attempt++ {
 			req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(payload))
@@ -198,9 +189,6 @@ func main() {
 				log.Fatal(err)
 			}
 			req.Header.Set("Content-Type", "application/octet-stream")
-			if idemKey != "" {
-				req.Header.Set(gateway.IdempotencyKeyHeader, idemKey)
-			}
 			resp, err := client.Do(req)
 			if err != nil {
 				if errors.Is(err, context.Canceled) {
@@ -240,7 +228,7 @@ func main() {
 			// longer than the client timeout — a bogus hint must not stall
 			// this goroutine. rand's global source is goroutine-safe.
 			delay := retryDelay(*retryBase, attempt, 0.5+rand.Float64(),
-				resp.Header.Get("Retry-After"), time.Now(), *timeout)
+				resp.Header.Get("Retry-After"), time.Now(), timeout)
 			select {
 			case <-time.After(delay):
 			case <-ctx.Done():
@@ -250,7 +238,7 @@ func main() {
 		}
 	}
 
-	rng := rand.New(rand.NewSource(int64(*seed)))
+	rng := rand.New(rand.NewSource(seed))
 
 	// draw picks the next request. The single-function mode always returns
 	// (-fn, -payload); the social mix draws a weighted operation over a
@@ -276,10 +264,10 @@ func main() {
 		time.Sleep(time.Until(next))
 		sent.Add(1)
 		// The abandonment decision (and its delay) is drawn here, on the
-		// arrival goroutine, so the run is reproducible from -seed.
+		// arrival goroutine, so the run is reproducible.
 		var abandonAfter time.Duration
 		if *abandon > 0 && rng.Float64() < *abandon {
-			abandonAfter = time.Duration(rng.Float64() * float64(*timeout) / 2)
+			abandonAfter = time.Duration(rng.Float64() * float64(timeout) / 2)
 			if abandonAfter <= 0 {
 				abandonAfter = time.Millisecond
 			}
@@ -321,7 +309,7 @@ func main() {
 			float64(snap.P50)/1e6, float64(snap.P99)/1e6, float64(snap.P999)/1e6,
 			snap.Mean/1e6, float64(snap.Max)/1e6)
 	}
-	printCoreSummary(client, *addr, float64(snap.Count)/elapsed.Seconds(), *baseline)
+	printCoreSummary(client, *addr, float64(snap.Count)/elapsed.Seconds())
 	if *tracez {
 		filter := *fn
 		if mix.Value() != "none" {
@@ -420,13 +408,12 @@ func printTraceSummary(client *http.Client, addr, fn string) {
 }
 
 // printCoreSummary asks the server (via /statsz) how many cores and
-// executors it runs, then reports the achieved throughput per core and —
-// when a 1-core baseline is supplied — the scaling efficiency relative to
-// it. The denominator is min(executors, num_cpu): executors beyond the
-// machine's cores add no parallelism and must not flatter the number. A
+// executors it runs, then reports the achieved throughput per core. The
+// denominator is min(executors, num_cpu): executors beyond the machine's
+// cores add no parallelism and must not flatter the number. A
 // dispatcher's /statsz carries its workers' executors summed under the
 // same key, so the summary works against either tier.
-func printCoreSummary(client *http.Client, addr string, okRPS, baselineRPS float64) {
+func printCoreSummary(client *http.Client, addr string, okRPS float64) {
 	resp, err := client.Get(fmt.Sprintf("http://%s/statsz", addr))
 	if err != nil {
 		log.Printf("core summary unavailable (/statsz: %v)", err)
@@ -446,9 +433,4 @@ func printCoreSummary(client *http.Client, addr string, okRPS, baselineRPS float
 		st.Executors, st.Orchestrators, st.NumCPU, st.GOMAXPROCS)
 	fmt.Printf("per-core        %.1f ok rps per core (%.1f ok rps over %d effective cores)\n",
 		okRPS/float64(effCores), okRPS, effCores)
-	if baselineRPS > 0 {
-		eff := okRPS / (baselineRPS * float64(effCores))
-		fmt.Printf("scaling         %.2f efficiency vs 1-core baseline %.0f rps (speedup %.2fx over %d cores)\n",
-			eff, baselineRPS, okRPS/baselineRPS, effCores)
-	}
 }

@@ -8,7 +8,7 @@ import (
 // socialMix draws the stateful social-network operation stream: 60%
 // social.timeline reads, 25% social.post, 10% social.follow, 5%
 // social.profile, over a Zipf-skewed population of users. One rng drives
-// every draw, so a run is reproducible from -seed.
+// every draw, so a seeded run is reproducible.
 type socialMix struct {
 	rng   *rand.Rand
 	zipf  *rand.Zipf

@@ -4,7 +4,7 @@
 //
 //	jordsim -experiment table4
 //	jordsim -experiment fig9 [-workload hipster] [-scale full]
-//	jordsim -experiment fig10|fig11|fig12|fig13|fig14|overheads|params|all
+//	jordsim -experiment fig10|fig11|fig12|fig13|fig14|overheads|params|all [-seed 1]
 //
 // Output is a plain-text rendering of the corresponding table/figure
 // (rows and series, not graphics), with the paper's reported values shown

@@ -349,31 +349,34 @@ func (c *conn) Read(p []byte) (int, error) {
 //	[worker=]fault[:p][xN]
 //
 // fault is one of refused, reset-before-write, reset-after-write,
-// reset-mid-body, latency, stall. p is the injection probability (default
-// 1.0); xN caps the rule at N firings. Examples:
+// reset-mid-body, latency (a 100ms delay), stall. p is the injection
+// probability in (0, 1] (default 1.0); xN caps the rule at N ≥ 1
+// firings. Examples:
 //
 //	refused:0.1                      10% of requests to any worker refused
 //	127.0.0.1:9011=stall x1          first request to that worker stalls
 //	reset-after-write:0.05,latency:0.2
-//
-// latency rules use defaultLatency (0 = 100ms) as the injected delay.
-func ParseSpec(spec string, defaultLatency time.Duration) ([]*Rule, error) {
+func ParseSpec(spec string) ([]*Rule, error) {
 	var rules []*Rule
 	for _, clause := range strings.Split(spec, ",") {
 		clause = strings.TrimSpace(clause)
 		if clause == "" {
 			continue
 		}
-		r := &Rule{Latency: defaultLatency}
+		r := &Rule{}
 		// The worker address may itself contain ':' (host:port), so split
 		// on the LAST '=' for the worker part.
 		if i := strings.LastIndex(clause, "="); i >= 0 {
 			r.Worker = strings.TrimSpace(clause[:i])
 			clause = strings.TrimSpace(clause[i+1:])
 		}
-		// Trailing xN count cap.
+		// Trailing xN count cap. Count 0 would mean "unlimited", so a cap
+		// below one is an error, not a silent opposite.
 		if i := strings.LastIndex(clause, "x"); i > 0 {
 			if n, err := strconv.Atoi(clause[i+1:]); err == nil {
+				if n < 1 {
+					return nil, fmt.Errorf("chaos: count %q in %q must be at least 1", clause[i:], spec)
+				}
 				r.Count = n
 				clause = strings.TrimSpace(clause[:i])
 			}
@@ -382,7 +385,7 @@ func ParseSpec(spec string, defaultLatency time.Duration) ([]*Rule, error) {
 		if i := strings.IndexByte(clause, ':'); i >= 0 {
 			name = clause[:i]
 			p, err := strconv.ParseFloat(clause[i+1:], 64)
-			if err != nil || p <= 0 || p > 1 {
+			if err != nil || !(p > 0 && p <= 1) { // the negation also rejects NaN
 				return nil, fmt.Errorf("chaos: bad probability %q in %q", clause[i+1:], spec)
 			}
 			r.P = p

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -266,7 +267,7 @@ func TestProbabilityDeterministic(t *testing.T) {
 }
 
 func TestParseSpec(t *testing.T) {
-	rules, err := ParseSpec("refused:0.1, 127.0.0.1:9011=stall x1,reset-after-write", 250*time.Millisecond)
+	rules, err := ParseSpec("refused:0.1, 127.0.0.1:9011=stall x1,reset-after-write")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,13 +280,63 @@ func TestParseSpec(t *testing.T) {
 	if rules[1].Fault != FaultStall || rules[1].Worker != "127.0.0.1:9011" || rules[1].Count != 1 {
 		t.Fatalf("rule 1: %+v", rules[1])
 	}
-	if rules[2].Fault != FaultResetAfterWrite || rules[2].Latency != 250*time.Millisecond {
+	if rules[2].Fault != FaultResetAfterWrite || rules[2].Count != 0 {
 		t.Fatalf("rule 2: %+v", rules[2])
 	}
 
-	for _, bad := range []string{"", "nosuch", "refused:1.5", "refused:zero"} {
-		if _, err := ParseSpec(bad, 0); err == nil {
+	// x0 and x-1 once parsed as Count <= 0, which the dialer reads as
+	// "unlimited": the opposite of what was asked. NaN slipped past the
+	// range check.
+	for _, bad := range []string{"", "nosuch", "refused:1.5", "refused:zero", "refused:NaN",
+		"stall x0", "stall x-1", "stall x00", "127.0.0.1:1=refused:0.5x0"} {
+		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) should fail", bad)
 		}
 	}
+}
+
+// countSuffix matches a clause that ends in an xN count cap.
+var countSuffix = regexp.MustCompile(`x[0-9]+$`)
+
+// FuzzParseSpec holds ParseSpec to its contract on arbitrary input: it
+// never panics, every rule it accepts names a known fault with P in [0,1]
+// and Count >= 0, and a clause ending in x<digits> yields Count >= 1 or
+// an error.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"refused:0.1, 127.0.0.1:9011=stall x1,reset-after-write",
+		"latency:0.2x3", "stall x0", "stall x-1", "reset-mid-body:1",
+		"a=b=c", "refused:NaN", "x1", ",,", "stall:0x1p-1",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		var clauses []string
+		for _, c := range strings.Split(spec, ",") {
+			if c = strings.TrimSpace(c); c != "" {
+				clauses = append(clauses, c)
+			}
+		}
+		if len(rules) != len(clauses) {
+			t.Fatalf("%q: %d rules from %d clauses", spec, len(rules), len(clauses))
+		}
+		for i, r := range rules {
+			if _, ok := faultNames[r.Fault]; !ok {
+				t.Fatalf("%q: rule %d has unknown fault %d", spec, i, r.Fault)
+			}
+			if !(r.P >= 0 && r.P <= 1) {
+				t.Fatalf("%q: rule %d has P %v outside [0,1]", spec, i, r.P)
+			}
+			if r.Count < 0 {
+				t.Fatalf("%q: rule %d has Count %d", spec, i, r.Count)
+			}
+			if countSuffix.MatchString(clauses[i]) && r.Count < 1 {
+				t.Fatalf("%q: clause %q ends in a count but rule %d has Count %d", spec, clauses[i], i, r.Count)
+			}
+		}
+	})
 }

@@ -47,6 +47,10 @@ import (
 // worker's /readyz reveals its real capacity (see Config.Bound).
 const DefaultBound = 64
 
+// DefaultHealthInterval is the /readyz polling period when
+// Config.HealthInterval is 0.
+const DefaultHealthInterval = 250 * time.Millisecond
+
 // Config assembles one dispatcher.
 type Config struct {
 	// Workers is the initial worker set, as host:port addresses.
@@ -100,7 +104,7 @@ type Config struct {
 
 func (c *Config) normalize() {
 	if c.HealthInterval == 0 {
-		c.HealthInterval = 250 * time.Millisecond
+		c.HealthInterval = DefaultHealthInterval
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 60 * time.Second

@@ -29,8 +29,8 @@ type Gateway struct {
 	Pool *pool.Pool
 	Adm  *admission.Controller
 
-	// Store is the shared-state tier, surfaced in /statsz and /metrics.
-	// nil when the daemon runs stateless.
+	// Store is the shared-state tier, surfaced in /statsz and /metrics
+	// (nil for a gateway built without one).
 	Store *state.Store
 
 	// Breakers holds one circuit breaker per registered function; a
@@ -244,8 +244,8 @@ type Statsz struct {
 	BreakerCooldownMs float64 `json:"breaker_cooldown_ms,omitempty" metric:"gauge" help:"Breaker open-to-half-open cooldown in ms."`
 	BreakerRatio      float64 `json:"breaker_ratio,omitempty" metric:"gauge" help:"Failure ratio that trips a breaker."`
 
-	// State is the shared-state tier's counter snapshot; absent on
-	// stateless daemons.
+	// State is the shared-state tier's counter snapshot; absent when the
+	// gateway has no store.
 	StateEnabled bool         `json:"state_enabled" metric:"gauge" help:"1 when the shared-state tier is on."`
 	State        *state.Stats `json:"state,omitempty"`
 

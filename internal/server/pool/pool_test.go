@@ -168,10 +168,11 @@ func TestFunctionErrorAndPanic(t *testing.T) {
 }
 
 func TestDeadlineExpiresQueuedRequest(t *testing.T) {
-	block := make(chan struct{})
+	block, started := make(chan struct{}), make(chan struct{})
 	p := startPool(t, Config{Executors: 1, Orchestrators: 1, JBSQBound: 1, ExternalQueueCap: 16},
 		func(reg *router.Registry) {
 			reg.MustRegister("block", func(ctx router.Ctx) ([]byte, error) {
+				close(started)
 				<-block
 				return nil, nil
 			})
@@ -179,10 +180,10 @@ func TestDeadlineExpiresQueuedRequest(t *testing.T) {
 		})
 	defer close(block)
 
-	// Occupy the only executor.
+	// Occupy the only executor, and submit only once it is taken.
 	go p.Invoke(context.Background(), "block", nil) //nolint:errcheck
+	<-started
 
-	time.Sleep(20 * time.Millisecond) // let the blocker start
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	_, err := p.Invoke(ctx, "fast", nil)

@@ -77,31 +77,11 @@ type Config struct {
 	// ratio can trip (default 20).
 	BreakerMinSamples uint64
 
-	// StateCap caps the shared-state tier's total committed bytes. 0
-	// defaults to 64 MiB; < 0 disables the state store entirely (bodies
-	// using Ctx.State* get pool.ErrNoState).
-	StateCap int64
-
-	// StatePromoteAfter is the reads-since-last-write threshold at which a
-	// hot state key is promoted to a global-RO mapping (the VTE G-bit fast
-	// path). 0 defaults to 64; < 0 disables promotion.
-	StatePromoteAfter int
-
 	// RequestTimeout is the per-request deadline (default 30s; <0 = none).
 	RequestTimeout time.Duration
 
-	// DrainTimeout bounds graceful shutdown (default 30s).
-	DrainTimeout time.Duration
-
 	// MaxBodyBytes bounds /invoke payloads (default 1 MiB).
 	MaxBodyBytes int64
-
-	// DedupCache sizes the idempotent-replay cache: completed /invoke
-	// responses are remembered by X-Jord-Idempotency-Key, so a re-sent
-	// invocation (a dispatcher retrying across a broken connection)
-	// replays the recorded response instead of executing twice. 0
-	// defaults to 4096 entries; < 0 disables replay.
-	DedupCache int
 
 	// Edge serves HTTP through the zero-allocation edge front end
 	// (gateway.Edge) instead of net/http: the POST /invoke fast path runs
@@ -112,12 +92,15 @@ type Config struct {
 	Edge bool
 }
 
+// DrainTimeout bounds a graceful Shutdown whose context carries no
+// deadline.
+const DrainTimeout = 30 * time.Second
+
 // DefaultConfig returns the default daemon setup.
 func DefaultConfig() Config {
 	return Config{
 		Addr:           ":8034",
 		RequestTimeout: 30 * time.Second,
-		DrainTimeout:   30 * time.Second,
 	}
 }
 
@@ -131,9 +114,6 @@ func (c *Config) normalize() {
 	if c.RequestTimeout < 0 {
 		c.RequestTimeout = 0
 	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 30 * time.Second
-	}
 }
 
 // Daemon is one live Jord worker server.
@@ -142,7 +122,7 @@ type Daemon struct {
 	Reg *router.Registry
 
 	pool  *pool.Pool
-	state *state.Store // nil when StateCap < 0
+	state *state.Store
 	gw    *gateway.Gateway
 	http  *http.Server  // nil when Cfg.Edge
 	edge  *gateway.Edge // nil unless Cfg.Edge
@@ -233,37 +213,32 @@ func (d *Daemon) start() error {
 		pc.OnWatchdog = breakers.RecordFault
 	}
 
-	d.pool = pool.New(pc, d.Reg)
+	p := pool.New(pc, d.Reg)
+	d.pool = p
 
-	// Shared-state tier: built between pool.New and pool.Start so its
-	// dedicated PD allocates before serving begins, with its mutation gate
-	// wired to the pool's tiered-shedding band — state growth degrades
-	// exactly when external admission does.
-	if d.Cfg.StateCap >= 0 {
-		p := d.pool
-		st, err := state.New(state.Config{
-			CapBytes:     d.Cfg.StateCap,
-			PromoteAfter: d.Cfg.StatePromoteAfter,
-			Degraded: func() bool {
-				thr := p.ShedThreshold()
-				return thr > 0 && p.Table().FreeCount() <= thr
-			},
-		}, d.pool.Table())
-		if err != nil {
-			return fmt.Errorf("server: building state store: %w", err)
-		}
-		d.state = st
-		d.pool.SetState(st)
+	// Shared-state tier (64 MiB, promotion after 64 reads): built between
+	// pool.New and pool.Start so its dedicated PD allocates before serving
+	// begins, with its mutation gate wired to the pool's tiered-shedding
+	// band — state growth degrades exactly when external admission does.
+	st, err := state.New(state.Config{
+		Degraded: func() bool {
+			thr := p.ShedThreshold()
+			return thr > 0 && p.Table().FreeCount() <= thr
+		},
+	}, p.Table())
+	if err != nil {
+		return fmt.Errorf("server: building state store: %w", err)
 	}
+	d.state = st
+	p.SetState(st)
 
 	// Flight-recorder context: when an incident freezes (breaker trip, shed
 	// burst, watchdog flag), snapshot the gauges an operator needs alongside
 	// the frozen traces. Reads only atomics and lock-free views.
-	if tr := d.pool.Trace(); tr != nil {
-		p := d.pool
+	if tr := p.Trace(); tr != nil {
 		tr.SetFlightStats(func() trace.FlightStats {
 			ext, internal, execQ := p.QueueDepths()
-			st := p.Stats()
+			ps := p.Stats()
 			return trace.FlightStats{
 				ExtQueue:     ext,
 				IntQueue:     internal,
@@ -272,25 +247,21 @@ func (d *Daemon) start() error {
 				LivePDs:      p.Table().LivePDs(),
 				Inflight:     adm.Inflight(),
 				AdmitLimit:   int(adm.Limit()),
-				Shed:         st.Shed.Load(),
-				Rejected:     st.Rejected.Load(),
+				Shed:         ps.Shed.Load(),
+				Rejected:     ps.Rejected.Load(),
 				OpenBreakers: breakers.NotClosed(),
 			}
 		})
 	}
 
-	d.pool.Start()
-	var dedup *gateway.DedupCache
-	if d.Cfg.DedupCache >= 0 {
-		dedup = gateway.NewDedupCache(d.Cfg.DedupCache)
-	}
+	p.Start()
 	d.gw = &gateway.Gateway{
 		Reg:            d.Reg,
-		Pool:           d.pool,
-		Store:          d.state,
+		Pool:           p,
+		Store:          st,
 		Adm:            adm,
 		Breakers:       breakers,
-		Dedup:          dedup,
+		Dedup:          gateway.NewDedupCache(0),
 		RequestTimeout: d.Cfg.RequestTimeout,
 		MaxBodyBytes:   d.Cfg.MaxBodyBytes,
 	}
@@ -309,7 +280,7 @@ func (d *Daemon) Pool() *pool.Pool {
 	return d.pool
 }
 
-// State exposes the shared-state tier (nil when disabled).
+// State exposes the shared-state tier.
 func (d *Daemon) State() *state.Store {
 	d.startMu.Lock()
 	defer d.startMu.Unlock()
@@ -364,7 +335,8 @@ func (d *Daemon) ListenAndServe() error {
 }
 
 // Shutdown drains gracefully: flip /healthz to 503 and refuse new
-// invocations, finish everything in flight (bounded by DrainTimeout), then
+// invocations, finish everything in flight (bounded by ctx, or by
+// DrainTimeout when ctx has no deadline), then
 // close the listener. Safe to call once serving.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	// Taking startMu means a concurrent start() has either fully built
@@ -378,7 +350,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	gw.SetDraining(true)
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d.Cfg.DrainTimeout)
+		ctx, cancel = context.WithTimeout(ctx, DrainTimeout)
 		defer cancel()
 	}
 	// Stop accepting connections and wait for in-flight HTTP handlers —
@@ -396,8 +368,5 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	}
 	// With the pool drained no invocation can hold a state handle; closing
 	// the store frees every value VMA and returns its PD to the table.
-	if st != nil {
-		return st.Close()
-	}
-	return nil
+	return st.Close()
 }
