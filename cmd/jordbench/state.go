@@ -2,11 +2,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"jord/internal/metrics"
@@ -42,6 +44,11 @@ type stateResult struct {
 	// request: always 0 for the shared-state tier (snapshots are aliases),
 	// the full value size for the copying baseline.
 	CopiedBytesPerOp float64 `json:"copied_bytes_per_op"`
+
+	// TakeConflicts counts requests re-issued because a Take found the key
+	// held (state.ErrTaken): a neighbour descheduled mid-update, which a
+	// box with fewer cores than workers produces. Latency spans the retries.
+	TakeConflicts uint64 `json:"take_conflicts"`
 
 	// Store counters over the measured window (absent for baseline-only
 	// scenarios).
@@ -110,6 +117,18 @@ func (r *stateRig) close() {
 func runStateScenario(r *stateRig, name, desc string, requests, workers int,
 	pick func(w, i int) (fn string, payload []byte)) stateResult {
 	ctx := context.Background()
+	// invoke re-issues a request whose Take lost the race for its key and
+	// counts it; every other error stays the caller's.
+	var conflicts atomic.Uint64
+	invoke := func(fn string, payload []byte) error {
+		for {
+			_, err := r.p.Invoke(ctx, fn, payload)
+			if !errors.Is(err, state.ErrTaken) {
+				return err
+			}
+			conflicts.Add(1)
+		}
+	}
 
 	warm := requests / 10
 	if warm > 2000 {
@@ -117,10 +136,11 @@ func runStateScenario(r *stateRig, name, desc string, requests, workers int,
 	}
 	for i := 0; i < warm; i++ {
 		fn, payload := pick(0, i)
-		if _, err := r.p.Invoke(ctx, fn, payload); err != nil {
+		if err := invoke(fn, payload); err != nil {
 			log.Fatalf("%s warmup: %v", name, err)
 		}
 	}
+	conflicts.Store(0)
 
 	statsBefore := r.st.StatsSnapshot()
 	var copiedBefore uint64
@@ -143,7 +163,7 @@ func runStateScenario(r *stateRig, name, desc string, requests, workers int,
 			for i := 0; i < perWork; i++ {
 				fn, payload := pick(w, i)
 				t0 := time.Now()
-				if _, err := r.p.Invoke(ctx, fn, payload); err != nil {
+				if err := invoke(fn, payload); err != nil {
 					errCh <- fmt.Errorf("%s(%s): %w", fn, payload, err)
 					return
 				}
@@ -187,6 +207,7 @@ func runStateScenario(r *stateRig, name, desc string, requests, workers int,
 		BytesPerOp:    float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
 
 		CopiedBytesPerOp: copiedPerOp,
+		TakeConflicts:    conflicts.Load(),
 		State:            &window,
 	}
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -40,19 +42,20 @@ func backoffDelay(base time.Duration, attempt int, jitter float64, max time.Dura
 // parseRetryAfter reads a Retry-After header in either RFC 9110 §10.2.3
 // form: delta-seconds ("7") or an HTTP-date ("Fri, 08 Aug 2026 17:00:00
 // GMT"). Plain Atoi dropped every date-form hint on the floor, silently
-// discarding the server's backoff guidance. The returned hint is raw;
-// callers cap it (at the request timeout) so a bogus or far-future header
-// cannot stall a worker goroutine.
+// discarding the server's backoff guidance. The returned hint is raw but
+// never negative — delta-seconds too large for a Duration saturate rather
+// than wrap — and callers cap it (at the request timeout) so a bogus or
+// far-future header cannot stall a worker goroutine.
 func parseRetryAfter(v string, now time.Time) (time.Duration, bool) {
 	v = strings.TrimSpace(v)
 	if v == "" {
 		return 0, false
 	}
-	if secs, err := strconv.Atoi(v); err == nil {
+	if secs, err := strconv.ParseInt(v, 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
 		if secs < 0 {
 			return 0, false
 		}
-		return time.Duration(secs) * time.Second, true
+		return time.Duration(min(secs, math.MaxInt64/int64(time.Second))) * time.Second, true
 	}
 	if t, err := http.ParseTime(v); err == nil {
 		d := t.Sub(now)

@@ -99,9 +99,37 @@ func TestRetryDelayCapsBogusHint(t *testing.T) {
 	if d != cap {
 		t.Fatalf("far-future HTTP-date hint: delay %v, want cap %v", d, cap)
 	}
+	// Delta-seconds past what a Duration holds saturate instead of wrapping
+	// negative, which once let the backoff win over the cap.
+	for _, huge := range []string{"10000000000", "99999999999999999999"} {
+		if d := retryDelay(10*time.Millisecond, 0, 1.0, huge, now, cap); d != cap {
+			t.Fatalf("%s-second hint: delay %v, want cap %v", huge, d, cap)
+		}
+	}
 	// And the hint still wins over a smaller backoff when reasonable.
 	d = retryDelay(20*time.Millisecond, 0, 1.0, "2", now, cap)
 	if d != 2*time.Second {
 		t.Fatalf("reasonable hint: delay %v, want 2s", d)
 	}
+}
+
+// FuzzParseRetryAfter: no header value panics the parser, an accepted hint
+// is never negative, and the delay built from it stays between the
+// backoff and the cap.
+func FuzzParseRetryAfter(f *testing.F) {
+	for _, v := range []string{"7", "-3", "", "soon", "+5", "10000000000", "99999999999999999999",
+		"Fri, 08 Aug 2026 17:00:00 GMT", "Sun, 06 Nov 1994 08:49:37 GMT", "Fri, 31 Dec 9999 23:59:59 GMT"} {
+		f.Add(v)
+	}
+	now := time.Date(2026, 8, 8, 17, 0, 0, 0, time.UTC)
+	const base, cap = 10 * time.Millisecond, 5 * time.Second
+	f.Fuzz(func(t *testing.T, v string) {
+		if d, ok := parseRetryAfter(v, now); ok && d < 0 {
+			t.Fatalf("parseRetryAfter(%q) = %v, true: negative hint", v, d)
+		}
+		backoff := backoffDelay(base, 0, 1.0, cap)
+		if d := retryDelay(base, 0, 1.0, v, now, cap); d < backoff || d > cap {
+			t.Fatalf("retryDelay with %q = %v, want within [%v, %v]", v, d, backoff, cap)
+		}
+	})
 }

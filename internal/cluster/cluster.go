@@ -83,23 +83,13 @@ type Config struct {
 	// it.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
 
-	// DisableIdempotency stops the dispatcher from stamping a generated
-	// X-Jord-Idempotency-Key on keyless invocations. With keys on (the
-	// default), a post-delivery connection break replays against the same
-	// worker's dedup cache instead of surfacing a 502 or double-executing;
-	// without them such failures are answered 502 and never retried.
-	DisableIdempotency bool
-
 	// Hedge enables tail-latency hedging: when the first placement has
-	// not answered within the function's adaptive hedge delay, a
-	// duplicate is placed on a second worker and the first response wins.
-	// Requires idempotency keys (hedges are never issued without one).
+	// not answered within the function's adaptive hedge delay (50ms until
+	// enough latency samples exist, then its clamped p95), a duplicate is
+	// placed on a second worker and the first response wins. The
+	// idempotency key every request carries keeps the duplicate from
+	// executing twice.
 	Hedge bool
-
-	// HedgeDelay overrides the cold-start hedge delay used until enough
-	// per-function latency samples exist (default 50ms). Once warmed, the
-	// delay is the function's clamped p95.
-	HedgeDelay time.Duration
 }
 
 func (c *Config) normalize() {
@@ -217,12 +207,10 @@ type Dispatcher struct {
 	passthrough  atomic.Uint64 // worker 429/503s forwarded verbatim
 
 	// Fault-tolerance counters. unsafeRetries are same-worker idempotent
-	// replays after a post-delivery break; unsafe502 the keyless ones
-	// surfaced as 502 instead. dedupHits counts responses the winning
-	// worker replayed from its idempotency cache. relay*Errs split
+	// replays after a post-delivery break. dedupHits counts responses the
+	// winning worker replayed from its idempotency cache. relay*Errs split
 	// mid-relay failures by which side broke.
 	unsafeRetries   atomic.Uint64
-	unsafe502       atomic.Uint64
 	hedgesIssued    atomic.Uint64
 	hedgesWon       atomic.Uint64
 	hedgesWasted    atomic.Uint64
@@ -321,21 +309,6 @@ func retryAfter(w http.ResponseWriter, d time.Duration) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-}
-
-// bodyPool recycles request-body buffers; a buffered body is what makes
-// re-placement after a worker failure possible.
-var bodyPool = sync.Pool{New: func() any {
-	b := make([]byte, 32<<10)
-	return &b
-}}
-
-func getBody(n int64) *[]byte {
-	bp := bodyPool.Get().(*[]byte)
-	if int64(cap(*bp)) < n {
-		*bp = make([]byte, n)
-	}
-	return bp
 }
 
 // pick runs the JBSQ(k) scan: among admittable workers that skip does not

@@ -618,7 +618,7 @@ var dispatcherFamilies = []string{
 	"jord_dispatcher_worker_state_dispatched_total", "jord_dispatcher_worker_state_last_poll_age_ms", "jord_dispatcher_worker_state_worker_ready", "jord_dispatcher_worker_state_worker_degraded", "jord_dispatcher_worker_state_executors",
 	"jord_dispatcher_uptime_seconds", "jord_dispatcher_num_cpu", "jord_dispatcher_gomaxprocs", "jord_dispatcher_jbsq_worker_bound",
 	"jord_dispatcher_dispatched_total", "jord_dispatcher_rejected_saturated_total", "jord_dispatcher_rejected_no_workers_total", "jord_dispatcher_transport_retries_total", "jord_dispatcher_drain_retries_total", "jord_dispatcher_exhausted_total", "jord_dispatcher_passthrough_sheds_total", "jord_dispatcher_outstanding",
-	"jord_dispatcher_unsafe_retries_total", "jord_dispatcher_unsafe_bad_gateway_total", "jord_dispatcher_hedges_issued_total", "jord_dispatcher_hedges_won_total", "jord_dispatcher_hedges_wasted_total", "jord_dispatcher_dedup_hits_total", "jord_dispatcher_relay_errors_worker_total", "jord_dispatcher_relay_errors_client_total", "jord_dispatcher_relay_redials_total",
+	"jord_dispatcher_unsafe_retries_total", "jord_dispatcher_hedges_issued_total", "jord_dispatcher_hedges_won_total", "jord_dispatcher_hedges_wasted_total", "jord_dispatcher_dedup_hits_total", "jord_dispatcher_relay_errors_worker_total", "jord_dispatcher_relay_errors_client_total", "jord_dispatcher_relay_redials_total",
 	"jord_dispatcher_statsz_workers",
 	"jord_dispatcher_executors", "jord_dispatcher_orchestrators", "jord_dispatcher_num_pds", "jord_dispatcher_pd_reserve", "jord_dispatcher_pd_free", "jord_dispatcher_live_pds", "jord_dispatcher_cgets_total", "jord_dispatcher_cputs_total", "jord_dispatcher_isolation_faults_total",
 	"jord_dispatcher_inflight", "jord_dispatcher_admitted_total", "jord_dispatcher_rejected_total",

@@ -80,14 +80,10 @@ func (t *hedgeTracker) observe(fn string, d time.Duration) {
 }
 
 // delay reports how long to wait before hedging fn: the clamped p95 of
-// recent successes, or cold (0 = 50ms) until hedgeSampleMin samples
-// exist.
-func (t *hedgeTracker) delay(fn string, cold time.Duration) time.Duration {
+// recent successes, or hedgeColdDelay until hedgeSampleMin samples exist.
+func (t *hedgeTracker) delay(fn string) time.Duration {
 	if d := t.ring(fn).p95.Load(); d > 0 {
 		return time.Duration(d)
 	}
-	if cold <= 0 {
-		cold = hedgeColdDelay
-	}
-	return cold
+	return hedgeColdDelay
 }

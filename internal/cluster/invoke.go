@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"jord/internal/httpwire"
 	"jord/internal/server/gateway"
 )
 
@@ -41,60 +42,14 @@ func (d *Dispatcher) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	// Buffer the body up front (bounded): a request is only "in flight"
 	// against a worker once delivery starts, so a worker that dies takes
 	// no request bytes with it — the buffered body is re-sent elsewhere.
-	if r.ContentLength > d.cfg.MaxBodyBytes {
+	payload, pooled, err := httpwire.ReadBody(r.Body, r.ContentLength, d.cfg.MaxBodyBytes)
+	switch {
+	case errors.Is(err, httpwire.ErrTooLarge):
 		http.Error(w, "payload too large", http.StatusRequestEntityTooLarge)
 		return
-	}
-	var (
-		payload []byte
-		pooled  *[]byte
-	)
-	if cl := r.ContentLength; cl >= 0 {
-		pooled = getBody(cl)
-		payload = (*pooled)[:cl]
-		if _, err := io.ReadFull(r.Body, payload); err != nil {
-			bodyPool.Put(pooled)
-			http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-	} else {
-		// Chunked (unknown-length) bodies ride the same pooled buffers as
-		// framed ones, growing by doubling up to the bound, instead of
-		// handing io.ReadAll a fresh allocation per request.
-		pooled = getBody(32 << 10)
-		buf := (*pooled)[:cap(*pooled)]
-		total := 0
-		for {
-			if total == len(buf) {
-				if int64(len(buf)) > d.cfg.MaxBodyBytes {
-					break // read past the bound; rejected below
-				}
-				grown := len(buf) * 2
-				if int64(grown) > d.cfg.MaxBodyBytes+1 {
-					grown = int(d.cfg.MaxBodyBytes + 1)
-				}
-				nb := make([]byte, grown)
-				copy(nb, buf)
-				*pooled = nb
-				buf = nb
-			}
-			n, err := r.Body.Read(buf[total:])
-			total += n
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				bodyPool.Put(pooled)
-				http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-		if int64(total) > d.cfg.MaxBodyBytes {
-			bodyPool.Put(pooled)
-			http.Error(w, "payload too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-		payload = buf[:total]
+	case err != nil:
+		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+		return
 	}
 
 	// The worker-bound request head is rendered by hand, so nothing that
@@ -103,11 +58,11 @@ func (d *Dispatcher) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	contentType := r.Header.Get("Content-Type")
 	key := r.Header.Get(gateway.IdempotencyKeyHeader)
 	if strings.ContainsAny(contentType, "\r\n") || strings.ContainsAny(key, "\r\n") {
-		bodyPool.Put(pooled)
+		httpwire.PutBody(pooled)
 		http.Error(w, "malformed header value", http.StatusBadRequest)
 		return
 	}
-	if !plainSegment(fn) {
+	if !httpwire.IsToken(fn) || strings.Contains(fn, "%") {
 		fn = url.PathEscape(fn)
 	}
 	var deadline time.Time
@@ -119,22 +74,12 @@ func (d *Dispatcher) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	// so post-delivery failures can replay from the worker's dedup cache
 	// instead of double-executing. It has to ride the FIRST attempt: a key
 	// stamped only on the retry would find nothing registered to replay.
-	if key == "" && !d.cfg.DisableIdempotency {
+	if key == "" {
 		key = newIdemKey()
 	}
 	rl := relay{d: d, ctx: r.Context(), deadline: deadline, w: w,
 		fn: fn, contentType: contentType, key: key, payload: payload}
 	d.dispatch(&rl, pooled)
-}
-
-// plainSegment reports whether fn can stand in a request line as it is.
-func plainSegment(fn string) bool {
-	for i := 0; i < len(fn); i++ {
-		if c := fn[i]; !tokenByte[c] || c == '%' {
-			return false
-		}
-	}
-	return true
 }
 
 // relay is one client request on its way through placement: what is being
@@ -166,12 +111,10 @@ type relay struct {
 func (d *Dispatcher) dispatch(rl *relay, pooled *[]byte) {
 	wk := rl.place()
 	if wk == nil {
-		bodyPool.Put(pooled)
+		httpwire.PutBody(pooled)
 		return
 	}
-	// Hedge only with a key: the duplicate may race a completed primary,
-	// and only the replay cache keeps that from double-executing.
-	if d.cfg.Hedge && rl.key != "" {
+	if d.cfg.Hedge {
 		d.race(rl, wk, pooled)
 		return
 	}
@@ -181,7 +124,7 @@ func (d *Dispatcher) dispatch(rl *relay, pooled *[]byte) {
 		a.wk.outstanding.Add(-1)
 		a, more = rl.settle(outcome{a, resp, class, err}, 0)
 	}
-	bodyPool.Put(pooled)
+	httpwire.PutBody(pooled)
 }
 
 // race is dispatch for a request that may be hedged: attempts run on
@@ -200,7 +143,7 @@ func (d *Dispatcher) race(rl *relay, first *worker, pooled *[]byte) {
 			c()
 		}
 		if inflight == 0 {
-			bodyPool.Put(pooled)
+			httpwire.PutBody(pooled)
 			return
 		}
 		// Losing attempts are still running (hedge losers, canceled
@@ -212,7 +155,7 @@ func (d *Dispatcher) race(rl *relay, first *worker, pooled *[]byte) {
 					o.resp.release()
 				}
 			}
-			bodyPool.Put(pooled)
+			httpwire.PutBody(pooled)
 		}(inflight)
 	}()
 
@@ -232,7 +175,7 @@ func (d *Dispatcher) race(rl *relay, first *worker, pooled *[]byte) {
 	}
 	launch(attempt{wk: first})
 
-	t := time.NewTimer(d.hedge.delay(fn, d.cfg.HedgeDelay))
+	t := time.NewTimer(d.hedge.delay(fn))
 	defer t.Stop()
 	hedgeC := t.C
 	for {
@@ -341,14 +284,7 @@ func (rl *relay) settle(o outcome, inflight int) (next attempt, more bool) {
 
 	case classUnsafe:
 		o.wk.eject(o.err)
-		switch {
-		case rl.key == "":
-			// No idempotency key: a post-delivery failure is not safely
-			// retryable — the worker may have executed. Surface it.
-			d.unsafe502.Add(1)
-			http.Error(rl.w, "upstream connection failed after request delivery; no idempotency key, not retried", http.StatusBadGateway)
-			return attempt{}, false
-		case !rl.sameRetried[o.wk]:
+		if !rl.sameRetried[o.wk] {
 			// Delivered (or possibly delivered): the only retry that cannot
 			// double-execute targets the SAME worker, whose idempotency
 			// cache replays the completed response.
@@ -444,8 +380,8 @@ func (d *Dispatcher) writeResp(w http.ResponseWriter, r *workerResp) (clientErr,
 	if r.rest == nil {
 		return nil, nil
 	}
-	bp := getBody(32 << 10)
-	defer bodyPool.Put(bp)
+	bp := httpwire.GetBody(32 << 10)
+	defer httpwire.PutBody(bp)
 	buf := (*bp)[:cap(*bp)]
 	for {
 		n, rerr := r.rest.Read(buf)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -14,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"jord/internal/httpwire"
 	"jord/internal/server/gateway"
 )
 
@@ -28,11 +28,10 @@ import (
 // relayConn is one persistent connection to a worker and its reusable
 // machinery.
 type relayConn struct {
-	c     net.Conn
-	br    *bufio.Reader
-	head  []byte // request-head scratch
-	nb    net.Buffers
-	nbArr [2][]byte // nb's backing array: WriteTo consumes nb, not this
+	c    net.Conn
+	br   *bufio.Reader
+	head []byte // request-head scratch
+	wv   httpwire.Writev
 	// kick expires the connection's deadline, which unblocks a read or
 	// write in progress; built once so arming it per attempt is cheap.
 	kick   func()
@@ -116,9 +115,9 @@ const (
 // Unlike net/http's transport, the pool has no background reader to weed
 // out keep-alive connections the worker has closed. So a failure on
 // a reused connection before the first response byte is taken for a stale
-// connection and absorbed by one fresh dial to the same worker — provided
-// that cannot run the function twice: either the request never went out
-// whole, or it carries a key the worker's replay cache answers.
+// connection and absorbed by one fresh dial to the same worker. That
+// cannot run the function twice: the request either never went out whole
+// or carries the key the worker's replay cache answers.
 func (d *Dispatcher) forward(ctx context.Context, deadline time.Time, wk *worker,
 	fn, contentType, key string, payload []byte) (*workerResp, respClass, error) {
 
@@ -155,8 +154,7 @@ func (d *Dispatcher) forward(ctx context.Context, deadline time.Time, wk *worker
 		}
 		rc.c.Close()
 		class, err := classify(ctx, stage, err)
-		if class != classCtx && rc.reused && !redialed &&
-			(stage == stageWrite || stage == stageSent && key != "") {
+		if class != classCtx && rc.reused && !redialed && stage != stageResp {
 			d.relayRedials.Add(1)
 			rc = nil
 			continue
@@ -210,17 +208,11 @@ func (d *Dispatcher) roundTrip(wk *worker, rc *relayConn,
 		b = append(b, "\r\nContent-Type: "...)
 		b = append(b, contentType...)
 	}
-	if key != "" {
-		b = append(b, "\r\n"+gateway.IdempotencyKeyHeader+": "...)
-		b = append(b, key...)
-	}
+	b = append(b, "\r\n"+gateway.IdempotencyKeyHeader+": "...)
+	b = append(b, key...)
 	b = append(b, "\r\n\r\n"...)
 	rc.head = b
-	rc.nbArr[0], rc.nbArr[1] = b, payload
-	rc.nb = net.Buffers(rc.nbArr[:])
-	_, err := rc.nb.WriteTo(rc.c)
-	rc.nbArr[1] = nil
-	if err != nil {
+	if err := rc.wv.Write(rc.c, b, payload); err != nil {
 		return nil, stageWrite, err
 	}
 
@@ -231,11 +223,11 @@ func (d *Dispatcher) roundTrip(wk *worker, rc *relayConn,
 	var n int
 	for {
 		buf, _ := rc.br.Peek(rc.br.Buffered())
-		var v headVerdict
-		if n, v = parseRespHead(buf, &h); v == headFast {
+		var v httpwire.Verdict
+		if n, v = httpwire.ParseResponseHead(buf, &h.ResponseHead, relayedHeaders[:], h.vals[:]); v == httpwire.HeadFast {
 			break
 		}
-		if v == headMore {
+		if v == httpwire.HeadMore {
 			_, err := rc.br.Peek(len(buf) + 1)
 			if err == nil {
 				continue
@@ -250,19 +242,18 @@ func (d *Dispatcher) roundTrip(wk *worker, rc *relayConn,
 	resp := respPool.Get().(*workerResp)
 	resp.setHead(&h) // copies what it keeps: Discard invalidates h's slices
 	rc.br.Discard(n)
-	if h.clen > d.cfg.MaxBodyBytes {
-		resp.rest, resp.rc = io.LimitReader(rc.br, h.clen), rc
+	if h.ContentLength > d.cfg.MaxBodyBytes {
+		resp.rest, resp.rc = io.LimitReader(rc.br, h.ContentLength), rc
 		return resp, stageResp, nil
 	}
-	resp.pooled = getBody(h.clen)
-	resp.body = (*resp.pooled)[:h.clen]
-	if _, err := io.ReadFull(rc.br, resp.body); err != nil {
+	var err error
+	if resp.body, resp.pooled, err = httpwire.ReadBody(rc.br, h.ContentLength, d.cfg.MaxBodyBytes); err != nil {
 		// The head arrived but the body broke off. Nothing has reached the
 		// client, so the dispatch loop can still retry this.
 		resp.release()
 		return nil, stageResp, err
 	}
-	resp.reuse = !h.close
+	resp.reuse = !h.Close
 	return resp, stageResp, nil
 }
 
@@ -285,7 +276,7 @@ func (d *Dispatcher) readSlow(rc *relayConn) (*workerResp, relayStage, error) {
 	if err != nil {
 		return nil, stageResp, err
 	}
-	h := respHead{status: hr.StatusCode, clen: hr.ContentLength}
+	h := respHead{ResponseHead: httpwire.ResponseHead{Status: hr.StatusCode, ContentLength: hr.ContentLength}}
 	for i, name := range relayedHeaders {
 		h.vals[i] = []byte(hr.Header.Get(name))
 	}
@@ -309,7 +300,7 @@ type workerResp struct {
 	hdr    []byte                      // backs vals
 
 	body   []byte
-	pooled *[]byte    // bodyPool buffer backing body
+	pooled *[]byte    // pooled buffer backing body
 	rest   io.Reader  // non-nil: body overflowed the buffer budget, stream the tail
 	rc     *relayConn // the connection rest reads from; release closes it
 	reuse  bool       // rc may carry another request
@@ -318,7 +309,7 @@ type workerResp struct {
 var respPool = sync.Pool{New: func() any { return &workerResp{hdr: make([]byte, 0, 128)} }}
 
 func (r *workerResp) setHead(h *respHead) {
-	r.status, r.clen = h.status, h.clen
+	r.status, r.clen = h.Status, h.ContentLength
 	b := r.hdr[:0]
 	for _, v := range h.vals {
 		b = append(b, v...)
@@ -335,29 +326,17 @@ func (r *workerResp) release() {
 	if r.rc != nil {
 		r.rc.c.Close()
 	}
-	if r.pooled != nil {
-		bodyPool.Put(r.pooled)
-	}
+	httpwire.PutBody(r.pooled)
 	*r = workerResp{hdr: r.hdr[:0]}
 	respPool.Put(r)
 }
 
 // respHead is what the dispatcher reads off a worker's response head. The
-// slices alias the parsed buffer.
+// values alias the parsed buffer.
 type respHead struct {
-	status int
-	clen   int64
-	close  bool                        // Connection: close
-	vals   [len(relayedHeaders)][]byte // nil: header absent
+	httpwire.ResponseHead
+	vals [len(relayedHeaders)][]byte // nil: header absent
 }
-
-type headVerdict int
-
-const (
-	headMore headVerdict = iota // no blank line yet
-	headFast                    // framed by one Content-Length: read the body in place
-	headSlow                    // anything else: http.ReadResponse decides
-)
 
 // relayedHeaders are the worker response headers that reach the client,
 // besides Content-Length; respHead.vals and workerResp.vals follow this
@@ -368,111 +347,3 @@ const (
 	hDraining = 2 // index of gateway.DrainingHeader
 	hDedup    = 3 // index of gateway.DedupHeader
 )
-
-var (
-	hdrContentLength    = []byte("Content-Length")
-	hdrTransferEncoding = []byte("Transfer-Encoding")
-	hdrConnection       = []byte("Connection")
-	valClose            = []byte("close")
-	valKeepAlive        = []byte("keep-alive")
-)
-
-var tokenByte = func() (t [256]bool) {
-	for c := 0; c < 128; c++ {
-		t[c] = c >= '0' && c <= '9' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
-			bytes.IndexByte([]byte("!#$%&'*+-.^_`|~"), byte(c)) >= 0
-	}
-	return t
-}()
-
-// cutLine splits buf at its first newline, dropping the line ending.
-func cutLine(buf []byte) (line, rest []byte, ok bool) {
-	i := bytes.IndexByte(buf, '\n')
-	if i < 0 {
-		return nil, buf, false
-	}
-	line, rest = buf[:i], buf[i+1:]
-	if i > 0 && line[i-1] == '\r' {
-		line = line[:i-1]
-	}
-	return line, rest, true
-}
-
-// parseRespHead parses a response head at the start of buf without
-// copying. It says headFast only for the plain shape the workers' edge
-// writes — HTTP/1.1, a status that carries a body, exactly one well-formed
-// Content-Length, no Transfer-Encoding, no folded or malformed lines — and
-// then n is the head's length. Everything it is not sure of is headSlow,
-// so that accepting or rejecting odd input stays net/http's decision;
-// FuzzRelayResponseHead holds the two to the same reading.
-func parseRespHead(buf []byte, h *respHead) (n int, v headVerdict) {
-	*h = respHead{clen: -1}
-	line, rest, ok := cutLine(buf)
-	if !ok {
-		return 0, headMore
-	}
-	if len(line) < 12 || string(line[:9]) != "HTTP/1.1 " || len(line) > 12 && line[12] != ' ' {
-		return 0, headSlow
-	}
-	for _, c := range line[9:12] {
-		if c < '0' || c > '9' {
-			return 0, headSlow
-		}
-		h.status = h.status*10 + int(c-'0')
-	}
-	if h.status < 200 || h.status == http.StatusNoContent || h.status == http.StatusNotModified {
-		return 0, headSlow
-	}
-	for {
-		if line, rest, ok = cutLine(rest); !ok {
-			return 0, headMore
-		}
-		if len(line) == 0 {
-			break
-		}
-		colon := bytes.IndexByte(line, ':')
-		if colon <= 0 {
-			return 0, headSlow
-		}
-		name, val := line[:colon], gateway.TrimOWS(line[colon+1:])
-		for _, c := range name {
-			if !tokenByte[c] {
-				return 0, headSlow
-			}
-		}
-		for _, c := range val {
-			if c < ' ' && c != '\t' || c == 0x7f {
-				return 0, headSlow
-			}
-		}
-		switch {
-		case bytes.EqualFold(name, hdrContentLength):
-			if h.clen >= 0 {
-				return 0, headSlow // a second Content-Length
-			}
-			if h.clen, ok = gateway.ParseDecimal(val); !ok {
-				return 0, headSlow
-			}
-		case bytes.EqualFold(name, hdrTransferEncoding):
-			return 0, headSlow
-		case bytes.EqualFold(name, hdrConnection):
-			if bytes.EqualFold(val, valClose) {
-				h.close = true
-			} else if !bytes.EqualFold(val, valKeepAlive) {
-				return 0, headSlow
-			}
-		default:
-			// Of a repeated header the first value counts, as
-			// http.Header.Get reads it.
-			for i, relayed := range relayedHeaders {
-				if h.vals[i] == nil && len(name) == len(relayed) && bytes.EqualFold(name, []byte(relayed)) {
-					h.vals[i] = val
-				}
-			}
-		}
-	}
-	if h.clen < 0 {
-		return 0, headSlow
-	}
-	return len(buf) - len(rest), headFast
-}

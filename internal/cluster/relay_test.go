@@ -15,17 +15,20 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"jord/internal/httpwire"
 )
 
-// checkHeadAgainstNetHTTP holds parseRespHead to net/http's reading of the
-// same bytes. headFast is a promise that http.ReadResponse accepts the
-// head and agrees on status, framing and the five relayed headers;
-// headMore, that there is no complete head for it to accept. headSlow
-// promises nothing: the relay then asks http.ReadResponse itself.
+// checkHeadAgainstNetHTTP holds httpwire.ParseResponseHead, reading
+// relayedHeaders, to net/http's reading of the same bytes. headFast is a
+// promise that http.ReadResponse accepts the head and agrees on status,
+// framing and the relayed headers; headMore, that there is no complete
+// head for it to accept. headSlow promises nothing: the relay then asks
+// http.ReadResponse itself.
 func checkHeadAgainstNetHTTP(t *testing.T, data []byte) headVerdict {
 	t.Helper()
 	var h respHead
-	n, v := parseRespHead(data, &h)
+	n, v := httpwire.ParseResponseHead(data, &h.ResponseHead, relayedHeaders[:], h.vals[:])
 	ref, err := http.ReadResponse(bufio.NewReader(bytes.NewReader(data)), nil)
 	switch v {
 	case headMore:
@@ -36,10 +39,10 @@ func checkHeadAgainstNetHTTP(t *testing.T, data []byte) headVerdict {
 		if err != nil {
 			t.Fatalf("parser framed a head net/http rejects (%v):\n%q", err, data)
 		}
-		if ref.StatusCode != h.status || ref.ContentLength != h.clen || ref.Close != h.close ||
+		if ref.StatusCode != h.Status || ref.ContentLength != h.ContentLength || ref.Close != h.Close ||
 			len(ref.TransferEncoding) != 0 {
 			t.Fatalf("status/framing: parser %d len %d close %v; net/http %d len %d close %v te %v\n%q",
-				h.status, h.clen, h.close, ref.StatusCode, ref.ContentLength, ref.Close, ref.TransferEncoding, data)
+				h.Status, h.ContentLength, h.Close, ref.StatusCode, ref.ContentLength, ref.Close, ref.TransferEncoding, data)
 		}
 		for i, name := range relayedHeaders {
 			_, present := ref.Header[name]
@@ -50,8 +53,8 @@ func checkHeadAgainstNetHTTP(t *testing.T, data []byte) headVerdict {
 		// Same body start: what net/http reads as the body is what follows
 		// the parser's head, up to the declared length.
 		want := data[n:]
-		if int64(len(want)) > h.clen {
-			want = want[:h.clen]
+		if int64(len(want)) > h.ContentLength {
+			want = want[:h.ContentLength]
 		}
 		if body, _ := io.ReadAll(ref.Body); !bytes.Equal(body, want) {
 			t.Fatalf("body: net/http read %q, parser's head leaves %q\n%q", body, want, data)
@@ -59,13 +62,22 @@ func checkHeadAgainstNetHTTP(t *testing.T, data []byte) headVerdict {
 		// A head that arrives in pieces is the same head: no prefix of it
 		// may be framed differently.
 		for k := 0; k < n; k++ {
-			if _, pv := parseRespHead(data[:k], &h); pv != headMore {
+			if _, pv := httpwire.ParseResponseHead(data[:k], &h.ResponseHead, relayedHeaders[:], h.vals[:]); pv != headMore {
 				t.Fatalf("prefix of %d bytes of a %d-byte head: verdict %d\n%q", k, n, pv, data)
 			}
 		}
 	}
 	return v
 }
+
+// The parser's verdicts under the names this file reads them by.
+type headVerdict = httpwire.Verdict
+
+const (
+	headMore = httpwire.HeadMore
+	headFast = httpwire.HeadFast
+	headSlow = httpwire.HeadSlow
+)
 
 var respHeadCases = []struct {
 	name string
@@ -81,6 +93,8 @@ var respHeadCases = []struct {
 	{"no reason phrase", "HTTP/1.1 200\r\nContent-Length: 0\r\n\r\n", headFast},
 	{"connection close", "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 1\r\n\r\nx", headFast},
 	{"connection keep-alive", "HTTP/1.1 200 OK\r\nConnection: Keep-Alive\r\nContent-Length: 1\r\n\r\nx", headFast},
+	{"connection token list", "HTTP/1.1 200 OK\r\nConnection: keep-alive, close\r\nContent-Length: 0\r\n\r\n", headFast},
+	{"connection cloſe", "HTTP/1.1 200 OK\r\nConnection: cloſe\r\nContent-Length: 0\r\n\r\n", headFast},
 	{"repeated header, first wins", "HTTP/1.1 200 OK\r\nContent-Type: a/b\r\nContent-Type: c/d\r\nContent-Length: 0\r\n\r\n", headFast},
 	{"empty first value still wins", "HTTP/1.1 200 OK\r\nRetry-After:\r\nRetry-After: 3\r\nContent-Length: 0\r\n\r\n", headFast},
 
@@ -99,7 +113,6 @@ var respHeadCases = []struct {
 	{"folded header", "HTTP/1.1 200 OK\r\nContent-Type: a/b;\r\n q=1\r\nContent-Length: 0\r\n\r\n", headSlow},
 	{"space before colon", "HTTP/1.1 200 OK\r\nContent-Length : 1\r\n\r\nx", headSlow},
 	{"control byte in value", "HTTP/1.1 200 OK\r\nContent-Type: a\x01b\r\nContent-Length: 0\r\n\r\n", headSlow},
-	{"connection token list", "HTTP/1.1 200 OK\r\nConnection: keep-alive, close\r\nContent-Length: 0\r\n\r\n", headSlow},
 	{"two spaces after version", "HTTP/1.1  200 OK\r\nContent-Length: 0\r\n\r\n", headSlow},
 	{"garbage", "\x00\x01\x02\r\n\r\n", headSlow},
 }
@@ -251,42 +264,33 @@ func postEcho(t *testing.T, front string) (int, string) {
 }
 
 // TestRelayStaleKeepAlive: the worker closed a connection the pool still
-// holds (a restart). With a key, the next request is answered 200 from
-// one fresh dial, runs once, and the worker is not ejected; the redial
-// shows in /statsz. Without a key a request that went out whole is not
-// re-sent — the worker may have run it — so the failure surfaces as 502.
+// holds (a restart). The next request — keyed, as every request is — is
+// answered 200 from one fresh dial, runs once, and the worker is not
+// ejected; the redial shows in /statsz.
 func TestRelayStaleKeepAlive(t *testing.T) {
-	for _, keyless := range []bool{false, true} {
-		stub := startRawStub(t)
-		addr := stub.ln.Addr().String()
-		d, front := newTestDispatcher(t, Config{Workers: []string{addr}, DisableIdempotency: keyless})
-		if status, body := postEcho(t, front.URL); status != 200 || body != "hello" {
-			t.Fatalf("warm-up: %d %q", status, body)
-		}
-		stub.closeConns()
+	stub := startRawStub(t)
+	addr := stub.ln.Addr().String()
+	d, front := newTestDispatcher(t, Config{Workers: []string{addr}})
+	if status, body := postEcho(t, front.URL); status != 200 || body != "hello" {
+		t.Fatalf("warm-up: %d %q", status, body)
+	}
+	stub.closeConns()
 
-		status, body := postEcho(t, front.URL)
-		served := stub.served.Load() // before /statsz fans out to the worker too
-		wk := d.find(addr)
-		doc := d.aggregateStatsz()
-		if keyless {
-			if status != http.StatusBadGateway || doc.RelayRedials != 0 || doc.Unsafe502 != 1 {
-				t.Fatalf("keyless: status %d redials %d unsafe502 %d, want 502/0/1", status, doc.RelayRedials, doc.Unsafe502)
-			}
-			continue
-		}
-		if status != 200 || body != "hello" {
-			t.Fatalf("after the worker closed the pooled conn: %d %q, want 200", status, body)
-		}
-		if served != 2 {
-			t.Fatalf("worker served %d requests, want 2 (one per client request)", served)
-		}
-		if wk.ejected.Load() || doc.ErrRetries != 0 || doc.UnsafeRetries != 0 {
-			t.Fatalf("stale conn ejected the worker: ejected=%v retries=%d/%d", wk.ejected.Load(), doc.ErrRetries, doc.UnsafeRetries)
-		}
-		if doc.RelayRedials != 1 {
-			t.Fatalf("relay_redials = %d, want 1", doc.RelayRedials)
-		}
+	status, body := postEcho(t, front.URL)
+	served := stub.served.Load() // before /statsz fans out to the worker too
+	wk := d.find(addr)
+	doc := d.aggregateStatsz()
+	if status != 200 || body != "hello" {
+		t.Fatalf("after the worker closed the pooled conn: %d %q, want 200", status, body)
+	}
+	if served != 2 {
+		t.Fatalf("worker served %d requests, want 2 (one per client request)", served)
+	}
+	if wk.ejected.Load() || doc.ErrRetries != 0 || doc.UnsafeRetries != 0 {
+		t.Fatalf("stale conn ejected the worker: ejected=%v retries=%d/%d", wk.ejected.Load(), doc.ErrRetries, doc.UnsafeRetries)
+	}
+	if doc.RelayRedials != 1 {
+		t.Fatalf("relay_redials = %d, want 1", doc.RelayRedials)
 	}
 }
 

@@ -140,7 +140,6 @@ type Statsz struct {
 
 	// Fault-tolerance counters (see the retry policy in invoke.go).
 	UnsafeRetries   uint64 `json:"unsafe_retries" metric:"counter" help:"Same-worker idempotent replays after a post-delivery break."`
-	Unsafe502       uint64 `json:"unsafe_bad_gateway" metric:"counter" help:"Keyless post-delivery failures surfaced as 502."`
 	HedgesIssued    uint64 `json:"hedges_issued" metric:"counter" help:"Hedged (duplicate) placements issued."`
 	HedgesWon       uint64 `json:"hedges_won" metric:"counter" help:"Hedges whose response won."`
 	HedgesWasted    uint64 `json:"hedges_wasted" metric:"counter" help:"Hedges whose response lost."`
@@ -196,7 +195,6 @@ func (d *Dispatcher) aggregateStatsz() Statsz {
 		Exhausted:         d.lost.Load(),
 		Passthrough:       d.passthrough.Load(),
 		UnsafeRetries:     d.unsafeRetries.Load(),
-		Unsafe502:         d.unsafe502.Load(),
 		HedgesIssued:      d.hedgesIssued.Load(),
 		HedgesWon:         d.hedgesWon.Load(),
 		HedgesWasted:      d.hedgesWasted.Load(),

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"jord/internal/httpwire"
 	"jord/internal/server/admission"
 	"jord/internal/server/breaker"
 	"jord/internal/server/pool"
@@ -103,23 +104,6 @@ func (g *Gateway) maxBody() int64 {
 	return 1 << 20
 }
 
-// bodyPool recycles the net/http transport's request-body buffers. A
-// buffer becomes the invocation's ArgBuf payload zero-copy, so it returns
-// to the pool only if the invocation was not abandoned (see execute).
-var bodyPool = sync.Pool{New: func() any {
-	b := make([]byte, 32<<10)
-	return &b
-}}
-
-// getBody returns a pooled buffer with capacity for n bytes.
-func getBody(n int64) *[]byte {
-	bp := bodyPool.Get().(*[]byte)
-	if int64(cap(*bp)) < n {
-		*bp = make([]byte, n)
-	}
-	return bp
-}
-
 // handleInvoke is the net/http transport of the invoke pipeline.
 func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	inv := &invocation{
@@ -135,9 +119,7 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	_ = g.invoke(inv)
 	// The response may alias the request buffer (echo-shaped functions);
 	// recycle only after the write has copied it out.
-	if inv.pooled != nil {
-		bodyPool.Put(inv.pooled)
-	}
+	httpwire.PutBody(inv.pooled)
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"jord/internal/httpwire"
 )
 
 // edgeHeadBuf is the edge's read-buffer size: a longer line is refused
@@ -15,7 +17,7 @@ const edgeHeadBuf = 16 << 10
 
 // readEdgeHead reads one request head the way serveOne does and reports
 // the parser's verdict and how many input bytes the head consumed.
-func readEdgeHead(data []byte, h *reqHead) (status int, err error, consumed int) {
+func readEdgeHead(data []byte, h *httpwire.RequestHead) (status int, err error, consumed int) {
 	src := bytes.NewReader(data)
 	br := bufio.NewReaderSize(src, edgeHeadBuf)
 	line, err := br.ReadSlice('\n')
@@ -23,22 +25,23 @@ func readEdgeHead(data []byte, h *reqHead) (status int, err error, consumed int)
 	case err == bufio.ErrBufferFull:
 		status, err = http.StatusRequestURITooLong, nil
 	case err == nil:
-		status, err = parseHead(line, br, h)
+		status, err = httpwire.ParseRequestHead(line, br, h, IdempotencyKeyHeader)
 	}
 	return status, err, len(data) - src.Len() - br.Buffered()
 }
 
-// checkReqHeadAgainstNetHTTP holds parseHead to http.ReadRequest's reading
-// of the same bytes. If the edge accepts a head, net/http must accept it
-// with the same method, request target, protocol, Content-Length framing,
-// Connection: close verdict, Expect and idempotency key,
-// and the next request must start at the same byte. If the edge refuses a
+// checkReqHeadAgainstNetHTTP holds httpwire.ParseRequestHead, reading the
+// edge's key header, to http.ReadRequest's reading of the same bytes. If
+// the edge accepts a head, net/http must accept it with the same method,
+// request target, protocol, Content-Length framing, Connection: close
+// verdict, Expect and idempotency key, and the next request must start at
+// the same byte. If the edge refuses a
 // head net/http accepts, the head must fall in one of the classes the
 // edge refuses on purpose (conservativeRefusal). It returns whether the
 // edge frames the request.
 func checkReqHeadAgainstNetHTTP(t *testing.T, data []byte) bool {
 	t.Helper()
-	var h reqHead
+	var h httpwire.RequestHead
 	status, err, headLen := readEdgeHead(data, &h)
 	refSrc := bytes.NewReader(data)
 	refBr := bufio.NewReader(refSrc)
@@ -46,7 +49,7 @@ func checkReqHeadAgainstNetHTTP(t *testing.T, data []byte) bool {
 
 	// A Transfer-Encoding head parses, but the edge refuses it (411) and
 	// closes: it is never framed.
-	if status != 0 || err != nil || h.chunked {
+	if status != 0 || err != nil || h.Chunked {
 		if refErr == nil {
 			if conservativeRefusal(data, ref) == "" {
 				t.Fatalf("edge refused (status %d, err %v) a head net/http accepts:\n%q", status, err, data)
@@ -57,27 +60,27 @@ func checkReqHeadAgainstNetHTTP(t *testing.T, data []byte) bool {
 	if refErr != nil {
 		t.Fatalf("edge accepted a head net/http rejects (%v):\n%q", refErr, data)
 	}
-	if ref.Method != string(h.method) || ref.RequestURI != string(h.path) ||
-		ref.ProtoMajor != 1 || (ref.ProtoMinor >= 1) != h.http11 {
+	if ref.Method != string(h.Method) || ref.RequestURI != string(h.Path) ||
+		ref.ProtoMajor != 1 || (ref.ProtoMinor >= 1) != h.HTTP11 {
 		t.Fatalf("request line: edge %q %q http11=%v; net/http %q %q %s\n%q",
-			h.method, h.path, h.http11, ref.Method, ref.RequestURI, ref.Proto, data)
+			h.Method, h.Path, h.HTTP11, ref.Method, ref.RequestURI, ref.Proto, data)
 	}
-	if h.http11 && ref.Close != h.closeTok {
-		t.Fatalf("Connection close: edge %v, net/http %v\n%q", h.closeTok, ref.Close, data)
+	if h.HTTP11 && ref.Close != h.Close {
+		t.Fatalf("Connection close: edge %v, net/http %v\n%q", h.Close, ref.Close, data)
 	}
-	if want := ref.Header.Get("Expect") != ""; want != h.expectContinue {
-		t.Fatalf("Expect 100-continue: edge %v, net/http %q\n%q", h.expectContinue, ref.Header.Get("Expect"), data)
+	if want := ref.Header.Get("Expect") != ""; want != h.ExpectContinue {
+		t.Fatalf("Expect 100-continue: edge %v, net/http %q\n%q", h.ExpectContinue, ref.Header.Get("Expect"), data)
 	}
-	if want := ref.Header.Get(IdempotencyKeyHeader); want != string(h.key) {
-		t.Fatalf("idempotency key: edge %q, net/http %q\n%q", h.key, want, data)
+	if want := ref.Header.Get(IdempotencyKeyHeader); want != string(h.Key) {
+		t.Fatalf("idempotency key: edge %q, net/http %q\n%q", h.Key, want, data)
 	}
-	if want := max(h.contentLen, 0); ref.ContentLength != want || ref.TransferEncoding != nil {
-		t.Fatalf("framing: edge Content-Length %d, net/http %d (te %v)\n%q", h.contentLen, ref.ContentLength, ref.TransferEncoding, data)
+	if want := max(h.ContentLength, 0); ref.ContentLength != want || ref.TransferEncoding != nil {
+		t.Fatalf("framing: edge Content-Length %d, net/http %d (te %v)\n%q", h.ContentLength, ref.ContentLength, ref.TransferEncoding, data)
 	}
 	// The next request starts where the declared body ends, for both.
 	_, _ = io.Copy(io.Discard, ref.Body)
 	refNext := len(data) - refSrc.Len() - refBr.Buffered()
-	if next := min(headLen+int(max(h.contentLen, 0)), len(data)); next != refNext {
+	if next := min(headLen+int(max(h.ContentLength, 0)), len(data)); next != refNext {
 		t.Fatalf("next request at byte %d for the edge, %d for net/http\n%q", next, refNext, data)
 	}
 	return true

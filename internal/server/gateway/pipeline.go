@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"jord/internal/httpwire"
 	"jord/internal/server/breaker"
 	"jord/internal/server/pool"
 	"jord/internal/server/router"
@@ -32,7 +33,7 @@ type invocation struct {
 	cs     *connState
 	w      http.ResponseWriter
 	r      *http.Request
-	pooled *[]byte // net/http: the bodyPool buffer behind the payload
+	pooled *[]byte // net/http: the pooled buffer behind the payload
 
 	timer    *time.Timer // request deadline; the edge recycles one per connection
 	deadline time.Time
@@ -336,10 +337,9 @@ func (inv *invocation) publishError(err error, abandoned bool) {
 	rec.Publish(sh, &inv.span)
 }
 
-// readBody reads the declared body: on the edge straight into the
-// connection's reusable buffer (the exact bytes the ArgBuf will alias),
-// under net/http into a pooled buffer, or — chunked, the rare
-// compatibility path — plainly, with the cap enforced after the fact.
+// readBody reads the body: on the edge straight into the connection's
+// reusable buffer (the exact bytes the ArgBuf will alias), under net/http
+// into a pooled buffer, declared or chunked, under the cap.
 func (inv *invocation) readBody(limit int64) ([]byte, error) {
 	inv.bodyRead = true
 	if cs := inv.cs; cs != nil {
@@ -355,20 +355,14 @@ func (inv *invocation) readBody(limit int64) ([]byte, error) {
 		_, err := io.ReadFull(cs.br, cs.body[:cl])
 		return cs.body[:cl], err
 	}
-	var (
-		payload []byte
-		err     error
-	)
-	if cl := inv.contentLen; cl >= 0 {
-		inv.pooled = getBody(cl)
-		payload = (*inv.pooled)[:cl]
-		_, err = io.ReadFull(inv.r.Body, payload)
-	} else if payload, err = io.ReadAll(io.LimitReader(inv.r.Body, limit+1)); err == nil && int64(len(payload)) > limit {
+	payload, bp, err := httpwire.ReadBody(inv.r.Body, inv.contentLen, limit)
+	switch {
+	case errors.Is(err, httpwire.ErrTooLarge):
 		return nil, inv.fail(http.StatusRequestEntityTooLarge, "payload too large", 0, false)
-	}
-	if err != nil {
+	case err != nil:
 		return nil, inv.fail(http.StatusBadRequest, "reading body: "+err.Error(), 0, false)
 	}
+	inv.pooled = bp
 	return payload, nil
 }
 

@@ -1,9 +1,11 @@
 package gateway
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -59,4 +61,58 @@ func TestInvokeErrorStatusBothTransports(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestInvokeChunkedBody: the net/http transport reads a chunked /invoke
+// body under the cap — past one pooled buffer, so the reader grows it —
+// refuses one over the cap with 413, and one cut off mid-chunk with 400.
+func TestInvokeChunkedBody(t *testing.T) {
+	const limit = 64 << 10
+	reg := router.New()
+	reg.MustRegister("echo", func(ctx router.Ctx) ([]byte, error) { return ctx.Payload(), nil })
+	muxURL, _, _, stop := newRig(t, smallPool(), reg, func(g *Gateway) { g.MaxBodyBytes = limit })
+	defer stop()
+	under := strings.Repeat("x", 40<<10)
+	for _, tc := range []struct {
+		name, chunks string
+		eof          bool // the client half-closes after the chunks: the body ends early
+		status       int
+		want         string
+	}{
+		{"under the cap", chunk(under) + "0\r\n\r\n", false, http.StatusOK, under},
+		{"over the cap", chunk(strings.Repeat("y", limit+1)) + "0\r\n\r\n", false, http.StatusRequestEntityTooLarge, ""},
+		{"truncated chunk", "5\r\nhel", true, http.StatusBadRequest, ""},
+	} {
+		status, body := postChunked(t, strings.TrimPrefix(muxURL, "http://"), tc.chunks, tc.eof)
+		if status != tc.status || tc.want != "" && body != tc.want {
+			t.Errorf("%s: status %d, %d body bytes; want %d, %d", tc.name, status, len(body), tc.status, len(tc.want))
+		}
+	}
+}
+
+// chunk frames s as one chunk of a chunked body.
+func chunk(s string) string { return fmt.Sprintf("%x\r\n%s\r\n", len(s), s) }
+
+// postChunked sends POST /invoke/echo with a chunked body over a raw
+// connection and returns the response's status and body.
+func postChunked(t *testing.T, addr, chunks string, eof bool) (int, string) {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	go func() {
+		io.WriteString(c, "POST /invoke/echo HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"+chunks)
+		if eof {
+			c.(*net.TCPConn).CloseWrite()
+		}
+	}()
+	resp, err := http.ReadResponse(bufio.NewReader(c), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(body)
 }
