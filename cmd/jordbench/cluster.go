@@ -10,12 +10,9 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"jord/internal/cluster"
-	"jord/internal/metrics"
 	"jord/internal/server"
 	"jord/internal/server/pool"
 	"jord/internal/server/router"
@@ -37,16 +34,16 @@ type clusterPoint struct {
 	// EffectiveCores is min(workers x executors, NumCPU): the function
 	// parallelism the machine can actually grant this point (dispatcher
 	// and clients need cores too, which is why the efficiency gate floor
-	// is conservative). Efficiency normalizes speedup by the ratio of
-	// effective cores to the first point's, so a sweep on a small box
-	// reads honestly instead of fabricating linear scaling.
+	// is conservative). Efficiency normalizes by it (see scaling), so a
+	// sweep on a small box reads honestly instead of fabricating linear
+	// scaling.
 	EffectiveCores int `json:"effective_cores"`
 
 	ThroughputRPS float64 `json:"throughput_rps"`
 	P50Us         float64 `json:"p50_us"`
 	P99Us         float64 `json:"p99_us"`
 	Speedup       float64 `json:"speedup"`    // vs the first point
-	Efficiency    float64 `json:"efficiency"` // Speedup / (effN / eff1)
+	Efficiency    float64 `json:"efficiency"` // see scaling
 
 	// Dispatcher-side accounting for the measured window: every request
 	// must be dispatched (no 429/503/retry under a correctly sized load).
@@ -191,7 +188,7 @@ func runClusterPoint(n, requests, clients int, payload []byte) (clusterPoint, er
 		Timeout: 30 * time.Second,
 	}
 	url := "http://" + rig.addr + "/invoke/echo"
-	do := func() error {
+	do := func(int, int) error {
 		resp, err := httpClient.Post(url, "application/octet-stream", bytes.NewReader(payload))
 		if err != nil {
 			return err
@@ -208,125 +205,57 @@ func runClusterPoint(n, requests, clients int, payload []byte) (clusterPoint, er
 
 	// Warm the whole chain — client transports, dispatcher keep-alive
 	// pool, worker PD caches — before the measured window.
-	warm := requests / 10
-	if warm > 2000 {
-		warm = 2000
+	if _, err := run(warmup(requests), clients, do); err != nil {
+		return clusterPoint{}, fmt.Errorf("warmup: %w", err)
 	}
-	perWarm := warm/clients + 1
-	errCh := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		go func() {
-			for i := 0; i < perWarm; i++ {
-				if err := do(); err != nil {
-					errCh <- fmt.Errorf("warmup: %w", err)
-					return
-				}
-			}
-			errCh <- nil
-		}()
-	}
-	for c := 0; c < clients; c++ {
-		if err := <-errCh; err != nil {
-			return clusterPoint{}, err
-		}
-	}
-
 	d0, r0, t0, err := dispatcherCounters(rig.addr)
 	if err != nil {
 		return clusterPoint{}, err
 	}
-
-	var hist metrics.ShardedHistogram
-	hist.SetShards(clients)
-	perWork := requests / clients
-
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		go func(c int) {
-			for i := 0; i < perWork; i++ {
-				t := time.Now()
-				if err := do(); err != nil {
-					errCh <- err
-					return
-				}
-				hist.RecordShard(c, time.Since(t).Nanoseconds())
-			}
-			errCh <- nil
-		}(c)
+	res, err := run(requests, clients, do)
+	if err != nil {
+		return clusterPoint{}, err
 	}
-	for c := 0; c < clients; c++ {
-		if err := <-errCh; err != nil {
-			return clusterPoint{}, err
-		}
-	}
-	elapsed := time.Since(start)
-
 	d1, r1, t1, err := dispatcherCounters(rig.addr)
 	if err != nil {
 		return clusterPoint{}, err
 	}
 
-	total := perWork * clients
-	snap := hist.Snapshot()
-	effCores := n * clusterExecutors
-	if ncpu := runtime.NumCPU(); effCores > ncpu {
-		effCores = ncpu
-	}
 	return clusterPoint{
 		Workers:            n,
 		ExecutorsPerWorker: clusterExecutors,
-		EffectiveCores:     effCores,
-		ThroughputRPS:      float64(total) / elapsed.Seconds(),
-		P50Us:              float64(snap.P50) / 1e3,
-		P99Us:              float64(snap.P99) / 1e3,
+		EffectiveCores:     min(n*clusterExecutors, runtime.NumCPU()),
+		ThroughputRPS:      res.ThroughputRPS,
+		P50Us:              res.P50Us,
+		P99Us:              res.P99Us,
 		Dispatched:         d1 - d0,
 		Rejected:           r1 - r0,
 		Retries:            t1 - t0,
 	}, nil
 }
 
-func parseWorkerCounts(s string) ([]int, error) {
-	var out []int
-	for _, tok := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(tok))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad worker count %q", tok)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty worker count list")
-	}
-	return out, nil
-}
-
-// runCluster sweeps the dispatcher over 1→N in-process workers on
-// loopback and writes BENCH_cluster.json. It returns whether the
-// -cluster-gate checks failed (the caller exits nonzero).
-func runCluster(out string, requests, clients int, counts string, gate bool) bool {
-	points, err := parseWorkerCounts(counts)
-	if err != nil {
-		log.Fatalf("-cluster-nodes: %v", err)
-	}
+// runCluster sweeps the dispatcher over the counts of in-process workers
+// on loopback and writes BENCH_cluster.json. It returns false if gate is
+// set and a gate failed.
+func runCluster(out string, requests, clients int, counts []int, gate bool) bool {
 	payload := []byte("jordbench-cluster-payload-64-bytes-xxxxxxxxxxxxxxxxxxxxxxxxxxxxx")
 
 	report := clusterReport{
-		reportHead:       newReportHead("jordbench -cluster"),
+		reportHead:       newReportHead("jordbench -mode cluster"),
 		RequestsPerPoint: requests,
 		ClientWorkers:    clients,
 	}
 
-	var base clusterPoint
-	for i, n := range points {
+	for _, n := range counts {
 		pt, err := runClusterPoint(n, requests, clients, payload)
 		if err != nil {
 			log.Fatalf("cluster %d workers: %v", n, err)
 		}
-		if i == 0 {
-			base = pt
+		base := pt
+		if len(report.Points) > 0 {
+			base = report.Points[0]
 		}
-		pt.Speedup = pt.ThroughputRPS / base.ThroughputRPS
-		pt.Efficiency = pt.Speedup / (float64(pt.EffectiveCores) / float64(base.EffectiveCores))
+		pt.Speedup, pt.Efficiency = scaling(pt.ThroughputRPS, pt.EffectiveCores, base.ThroughputRPS, base.EffectiveCores)
 		log.Printf("cluster %2d workers (%d effective cores): %9.0f req/s  p99 %7.1fus  speedup %.2fx  efficiency %.2f  (%d dispatched, %d rejected, %d retries)",
 			pt.Workers, pt.EffectiveCores, pt.ThroughputRPS, pt.P99Us, pt.Speedup, pt.Efficiency,
 			pt.Dispatched, pt.Rejected, pt.Retries)
@@ -334,11 +263,7 @@ func runCluster(out string, requests, clients int, counts string, gate bool) boo
 	}
 
 	writeReport(out, report)
-
-	if gate {
-		return !checkClusterGates(report)
-	}
-	return false
+	return !gate || checkClusterGates(report)
 }
 
 // checkClusterGates evaluates the CI smoke gates: the sized load must

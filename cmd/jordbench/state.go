@@ -6,12 +6,9 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"os"
-	"runtime"
 	"sync/atomic"
 	"time"
 
-	"jord/internal/metrics"
 	"jord/internal/server/pool"
 	"jord/internal/server/router"
 	"jord/internal/server/state"
@@ -28,17 +25,7 @@ const allocGateMax = 0.5
 type stateResult struct {
 	Name        string `json:"name"`
 	Description string `json:"description"`
-	Requests    int    `json:"requests"`
-	Workers     int    `json:"workers"`
-
-	ThroughputRPS float64 `json:"throughput_rps"`
-	P50Us         float64 `json:"p50_us"`
-	P99Us         float64 `json:"p99_us"`
-	P999Us        float64 `json:"p999_us"`
-	MeanUs        float64 `json:"mean_us"`
-
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
+	result
 
 	// CopiedBytesPerOp is what crossed a store boundary by value, per
 	// request: always 0 for the shared-state tier (snapshots are aliases),
@@ -47,7 +34,7 @@ type stateResult struct {
 
 	// TakeConflicts counts requests re-issued because a Take found the key
 	// held (state.ErrTaken): a neighbour descheduled mid-update, which a
-	// box with fewer cores than workers produces. Latency spans the retries.
+	// box with fewer cores than clients produces. Latency spans the retries.
 	TakeConflicts uint64 `json:"take_conflicts"`
 
 	// Store counters over the measured window (absent for baseline-only
@@ -111,102 +98,52 @@ func (r *stateRig) close() {
 	}
 }
 
-// runStateScenario measures a request stream where each worker draws its
-// (function, payload) per iteration — the state analogue of
-// runLiveScenario, generalized for mixed workloads.
-func runStateScenario(r *stateRig, name, desc string, requests, workers int,
-	pick func(w, i int) (fn string, payload []byte)) stateResult {
-	ctx := context.Background()
-	// invoke re-issues a request whose Take lost the race for its key and
-	// counts it; every other error stays the caller's.
+// copied is the bytes the copying baseline has moved across its store
+// boundary so far (0 without it).
+func (r *stateRig) copied() uint64 {
+	if r.copy == nil {
+		return 0
+	}
+	return r.copy.ReadBytes.Load() + r.copy.WriteBytes.Load()
+}
+
+// runStateScenario measures a request stream where each client draws its
+// (function, payload) per request from pick. A request whose Take lost
+// the race for its key is re-issued and counted; every other error is
+// fatal. The counters cover the measured window only.
+func runStateScenario(r *stateRig, name, desc string, requests, clients int,
+	pick func(client, i int) (fn string, payload []byte)) stateResult {
 	var conflicts atomic.Uint64
-	invoke := func(fn string, payload []byte) error {
+	do := func(c, i int) error {
+		fn, payload := pick(c, i)
 		for {
-			_, err := r.p.Invoke(ctx, fn, payload)
+			_, err := r.p.Invoke(context.Background(), fn, payload)
 			if !errors.Is(err, state.ErrTaken) {
-				return err
+				if err != nil {
+					return fmt.Errorf("%s(%s): %w", fn, payload, err)
+				}
+				return nil
 			}
 			conflicts.Add(1)
 		}
 	}
 
-	warm := requests / 10
-	if warm > 2000 {
-		warm = 2000
-	}
-	for i := 0; i < warm; i++ {
-		fn, payload := pick(0, i)
-		if err := invoke(fn, payload); err != nil {
-			log.Fatalf("%s warmup: %v", name, err)
-		}
+	if _, err := run(warmup(requests), clients, do); err != nil {
+		log.Fatalf("%s warmup: %v", name, err)
 	}
 	conflicts.Store(0)
+	statsBefore, copiedBefore := r.st.StatsSnapshot(), r.copied()
 
-	statsBefore := r.st.StatsSnapshot()
-	var copiedBefore uint64
-	if r.copy != nil {
-		copiedBefore = r.copy.ReadBytes.Load() + r.copy.WriteBytes.Load()
+	res, err := run(requests, clients, do)
+	if err != nil {
+		log.Fatalf("%s: %v", name, err)
 	}
-
-	var hist metrics.ShardedHistogram
-	hist.SetShards(workers)
-	errCh := make(chan error, workers)
-	perWork := requests / workers
-
-	runtime.GC()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			for i := 0; i < perWork; i++ {
-				fn, payload := pick(w, i)
-				t0 := time.Now()
-				if err := invoke(fn, payload); err != nil {
-					errCh <- fmt.Errorf("%s(%s): %w", fn, payload, err)
-					return
-				}
-				hist.RecordShard(w, time.Since(t0).Nanoseconds())
-			}
-			errCh <- nil
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		if err := <-errCh; err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-	}
-	elapsed := time.Since(start)
-
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-
-	n := perWork * workers
-	snap := hist.Snapshot()
-
-	statsAfter := r.st.StatsSnapshot()
-	window := diffStats(statsBefore, statsAfter)
-
-	var copiedPerOp float64
-	if r.copy != nil {
-		copiedPerOp = float64(r.copy.ReadBytes.Load()+r.copy.WriteBytes.Load()-copiedBefore) / float64(n)
-	}
-
+	window := diffStats(statsBefore, r.st.StatsSnapshot())
 	return stateResult{
-		Name:          name,
-		Description:   desc,
-		Requests:      n,
-		Workers:       workers,
-		ThroughputRPS: float64(n) / elapsed.Seconds(),
-		P50Us:         float64(snap.P50) / 1e3,
-		P99Us:         float64(snap.P99) / 1e3,
-		P999Us:        float64(snap.P999) / 1e3,
-		MeanUs:        snap.Mean / 1e3,
-		AllocsPerOp:   float64(after.Mallocs-before.Mallocs) / float64(n),
-		BytesPerOp:    float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
-
-		CopiedBytesPerOp: copiedPerOp,
+		Name:             name,
+		Description:      desc,
+		result:           res,
+		CopiedBytesPerOp: float64(r.copied()-copiedBefore) / float64(res.Requests),
 		TakeConflicts:    conflicts.Load(),
 		State:            &window,
 	}
@@ -238,16 +175,16 @@ func diffStats(a, b state.Stats) state.Stats {
 
 // socialPick returns a deterministic weighted social-mix draw for one
 // variant prefix: 60% timeline / 25% post / 10% follow / 5% profile over a
-// small skewed user set, seeded per worker.
-func socialPick(prefix string, workers int) func(w, i int) (string, []byte) {
-	rngs := make([]*rand.Rand, workers)
-	zipfs := make([]*rand.Zipf, workers)
-	for w := range rngs {
-		rngs[w] = rand.New(rand.NewSource(int64(w + 1)))
-		zipfs[w] = rand.NewZipf(rngs[w], 1.2, 1, 15)
+// small skewed user set, seeded per client.
+func socialPick(prefix string, clients int) func(c, i int) (string, []byte) {
+	rngs := make([]*rand.Rand, clients)
+	zipfs := make([]*rand.Zipf, clients)
+	for c := range rngs {
+		rngs[c] = rand.New(rand.NewSource(int64(c + 1)))
+		zipfs[c] = rand.NewZipf(rngs[c], 1.2, 1, 15)
 	}
-	return func(w, i int) (string, []byte) {
-		rng, zipf := rngs[w], zipfs[w]
+	return func(c, i int) (string, []byte) {
+		rng, zipf := rngs[c], zipfs[c]
 		u := fmt.Sprintf("u%d", zipf.Uint64())
 		switch r := rng.Float64(); {
 		case r < 0.60:
@@ -263,10 +200,9 @@ func socialPick(prefix string, workers int) func(w, i int) (string, []byte) {
 }
 
 // runState benchmarks the shared-state tier in-process and writes
-// BENCH_state.json. It exits nonzero if the snapshot read path allocates
-// (the 0-allocs/op gate) or the copy-reduction criterion fails.
-func runState(out string, requests, workers int) {
-	report := stateReport{reportHead: newReportHead("jordbench -state")}
+// BENCH_state.json. It returns false if gate is set and a gate failed.
+func runState(out string, requests, clients int, gate bool) bool {
+	report := stateReport{reportHead: newReportHead("jordbench -mode state")}
 
 	blob := make([]byte, 4096)
 	for i := range blob {
@@ -307,7 +243,7 @@ func runState(out string, requests, workers int) {
 	seedBlob(r)
 	res := runStateScenario(r, "state_get",
 		"4 KiB snapshot read, promotion off: pcopy R grant per reader PD, zero-copy alias",
-		requests, workers, fixed("get4k"))
+		requests, clients, fixed("get4k"))
 	r.close()
 	report.Scenarios = append(report.Scenarios, res)
 
@@ -316,7 +252,7 @@ func runState(out string, requests, workers int) {
 	seedBlob(r)
 	res = runStateScenario(r, "state_get_global_ro",
 		"4 KiB snapshot read of a promoted key: VTE G bit, no PDs, no copies, no locks",
-		requests, workers, fixed("get4k"))
+		requests, clients, fixed("get4k"))
 	if res.State.FastGets == 0 {
 		log.Fatalf("state_get_global_ro: key never promoted (fast_gets = 0)")
 	}
@@ -348,7 +284,7 @@ func runState(out string, requests, workers int) {
 	})
 	res = runStateScenario(r, "state_rmw",
 		"take/commit counter increment: pmove RW ownership out and back per request",
-		requests, workers, func(w, i int) (string, []byte) { return "bump", nil })
+		requests, clients, func(w, i int) (string, []byte) { return "bump", nil })
 	r.close()
 	report.Scenarios = append(report.Scenarios, res)
 
@@ -357,7 +293,7 @@ func runState(out string, requests, workers int) {
 	r = newStateRig(8, func(reg *router.Registry, _ *stateRig) { workloads.RegisterSocialLive(reg) })
 	shared := runStateScenario(r, "social_shared",
 		"social-network mix (60r/25p/10f/5p) over the shared-state tier",
-		socialReqs, workers, socialPick("social.", workers))
+		socialReqs, clients, socialPick("social.", clients))
 	r.close()
 	report.Scenarios = append(report.Scenarios, shared)
 
@@ -366,7 +302,7 @@ func runState(out string, requests, workers int) {
 	})
 	baseline := runStateScenario(r, "social_copy",
 		"identical mix over the copy-per-request baseline store (memcpy both ways)",
-		socialReqs, workers, socialPick("socialcopy.", workers))
+		socialReqs, clients, socialPick("socialcopy.", clients))
 	r.close()
 	report.Scenarios = append(report.Scenarios, baseline)
 
@@ -388,21 +324,32 @@ func runState(out string, requests, workers int) {
 
 	writeReport(out, report)
 
-	// Regression gates (CI smoke): the snapshot read path must stay
-	// allocation-free, and the copy reduction must hold.
-	failed := false
+	return !gate || checkStateGates(report)
+}
+
+// checkStateGates evaluates the CI smoke gates: the snapshot read paths
+// must stay allocation-free and the copy reduction must hold. It returns
+// true when both pass, logging each verdict.
+func checkStateGates(report stateReport) bool {
+	ok := true
 	for _, sc := range report.Scenarios {
-		if (sc.Name == "state_get" || sc.Name == "state_get_global_ro") && sc.AllocsPerOp > allocGateMax {
-			log.Printf("FAIL: %s allocates %.3f/op (gate %.1f)", sc.Name, sc.AllocsPerOp, allocGateMax)
-			failed = true
+		if sc.Name != "state_get" && sc.Name != "state_get_global_ro" {
+			continue
+		}
+		if sc.AllocsPerOp > allocGateMax {
+			log.Printf("GATE FAIL: %s allocates %.3f/op (limit %.1f)", sc.Name, sc.AllocsPerOp, allocGateMax)
+			ok = false
+		} else {
+			log.Printf("gate ok: %s %.3f allocs/op (limit %.1f)", sc.Name, sc.AllocsPerOp, allocGateMax)
 		}
 	}
 	if !report.Comparison.ReductionOK {
-		log.Printf("FAIL: copy reduction criterion: baseline %.0f B/op vs shared %.0f B/op",
+		log.Printf("GATE FAIL: copy reduction criterion: baseline %.0f B/op vs shared %.0f B/op",
 			report.Comparison.BaselineReadCopiedPerOp, report.Comparison.SharedReadCopiedPerOp)
-		failed = true
+		ok = false
+	} else {
+		log.Printf("gate ok: copy reduction: baseline %.0f B/op vs shared %.0f B/op",
+			report.Comparison.BaselineReadCopiedPerOp, report.Comparison.SharedReadCopiedPerOp)
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return ok
 }

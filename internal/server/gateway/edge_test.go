@@ -368,47 +368,74 @@ func TestEdgeColdConnectionClose(t *testing.T) {
 
 // edgeAllocsPerOp measures whole-process allocations per request
 // (runtime.MemStats.Mallocs deltas) around a batch of raw-TCP keep-alive
-// requests built by req — covering the edge parse, the invoke pipeline,
-// admission, breaker, pool submit, executor dispatch, ArgBuf transfer and
-// response write, not just a handler in isolation.
-func edgeAllocsPerOp(t *testing.T, addr string, req func(i int) []byte) float64 {
+// requests built by req and sent over conns connections in parallel —
+// covering the edge parse, the invoke pipeline, admission, breaker, pool
+// submit, executor dispatch, ArgBuf transfer and response write, not just
+// a handler in isolation. Each connection numbers its requests from 1;
+// req must be safe for concurrent use when conns > 1.
+func edgeAllocsPerOp(t *testing.T, addr string, conns int, req func(i int) []byte) float64 {
 	t.Helper()
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	rbuf := make([]byte, 4096)
-	i := 0
-	roundtrip := func() {
-		i++
-		if _, err := c.Write(req(i)); err != nil {
+	const warm, N = 1000, 2000
+	// Collect before the warm-up, not after it: a collection empties
+	// runtime caches (the central sudog cache a blocking select draws on,
+	// sync.Pool primaries) that the warm-up then refills on every P, so
+	// the measured batch starts in steady state.
+	runtime.GC()
+	start := make(chan struct{})
+	ready, done := make(chan error, conns), make(chan error, conns)
+	for k := 0; k < conns; k++ {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
 			t.Fatal(err)
 		}
-		// The whole response fits one read on loopback; parse-free drain.
-		if n, err := c.Read(rbuf); err != nil || !strings.HasPrefix(string(rbuf[:12]), "HTTP/1.1 200") {
-			t.Fatalf("response %q: %v", rbuf[:n], err)
+		defer c.Close()
+		// The client goroutines exist before the first MemStats read, so
+		// starting them is not counted.
+		go func() {
+			rbuf := make([]byte, 4096)
+			i := 0
+			roundtrips := func(n int) error {
+				for ; n > 0; n-- {
+					i++
+					if _, err := c.Write(req(i)); err != nil {
+						return err
+					}
+					// The whole response fits one read on loopback; parse-free drain.
+					if m, err := c.Read(rbuf); err != nil || !strings.HasPrefix(string(rbuf[:12]), "HTTP/1.1 200") {
+						return fmt.Errorf("response %q: %v", rbuf[:m], err)
+					}
+				}
+				return nil
+			}
+			// Warm up: connection state, pooled buffers, runner goroutines,
+			// map internals all reach steady state. At -cpu 8, filling every
+			// P's sudog cache takes about 1000 round trips a connection.
+			ready <- roundtrips(warm)
+			<-start
+			done <- roundtrips(N / conns)
+		}()
+	}
+	for k := 0; k < conns; k++ {
+		if err := <-ready; err != nil {
+			close(start)
+			t.Fatal(err)
 		}
 	}
-
-	// Warm up: connection state, pooled buffers, runner goroutines, map
-	// internals all reach steady state.
-	for i := 0; i < 200; i++ {
-		roundtrip()
-	}
-	const N = 2000
 	var before, after runtime.MemStats
-	runtime.GC()
 	runtime.ReadMemStats(&before)
-	for i := 0; i < N; i++ {
-		roundtrip()
+	close(start)
+	for k := 0; k < conns; k++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / N
 }
 
 // TestEdgeInvokeAllocs is the edge's headline invariant: the socket ->
-// function -> response path allocates nothing per request in steady state.
+// function -> response path allocates nothing per request in steady state,
+// with 8 keep-alive connections served concurrently.
 func TestEdgeInvokeAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement in -short")
@@ -419,7 +446,7 @@ func TestEdgeInvokeAllocs(t *testing.T) {
 	addr, _, stop := newEdgeRig(t, smallPool())
 	defer stop()
 	req := []byte("POST /invoke/echo HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\nhello world")
-	perOp := edgeAllocsPerOp(t, addr, func(int) []byte { return req })
+	perOp := edgeAllocsPerOp(t, addr, 8, func(int) []byte { return req })
 
 	// Tolerance absorbs runtime background noise (timer wheels, GC
 	// bookkeeping, netpoll) — the invariant is "no per-request allocation",
@@ -444,15 +471,15 @@ func TestEdgeKeyedAllocs(t *testing.T) {
 	_, addr, calls, g, stop := newDedupRig(t)
 	defer stop()
 	var buf []byte
-	perOp := edgeAllocsPerOp(t, addr, func(i int) []byte {
+	perOp := edgeAllocsPerOp(t, addr, 1, func(i int) []byte {
 		buf = append(buf[:0], "POST /invoke/echo HTTP/1.1\r\nHost: x\r\n"+IdempotencyKeyHeader+": key-"...)
 		buf = strconv.AppendInt(buf, int64(i), 10)
 		buf = append(buf, "\r\nContent-Length: 2\r\n\r\nhi"...)
 		return buf
 	})
 	t.Logf("edge keyed invoke: %.4f allocs/op", perOp)
-	if n := calls.Load(); n != 2200 || g.Dedup.Hits() != 0 {
-		t.Fatalf("executions=%d hits=%d, want 2200 fresh executions", n, g.Dedup.Hits())
+	if n := calls.Load(); n != 3000 || g.Dedup.Hits() != 0 {
+		t.Fatalf("executions=%d hits=%d, want 3000 fresh executions", n, g.Dedup.Hits())
 	}
 	// Keys of up to 32 bytes (the dispatcher's are 30 at most) are copied
 	// into recycled cache entries: no allocation at all, same tolerance as

@@ -1,6 +1,7 @@
 // Package faultfn is a registry of deliberately misbehaving live function
-// bodies — the fault-injection vocabulary the pool's chaos suite (and any
-// jordd operator wanting to rehearse failure) drives the runtime with.
+// bodies — the fault-injection vocabulary the pool's chaos tests drive the
+// runtime with. Only those tests import it: jordd registers none of these
+// bodies.
 // Each body exercises one request-lifecycle hazard the runtime must
 // survive: panics mid-flight, fire-and-forget Asyncs whose children
 // outlive their parent, bodies that stall past every deadline, fan-outs
@@ -73,7 +74,7 @@ func sleepFor(b byte) time.Duration {
 //	staterw      the validating stateful citizen: put/get round trip with
 //	             version checks; corruption reports as an "aliasing" error.
 //
-// The names are stable API for the chaos suite and jordd -faultfns.
+// The names are stable API for the pool's chaos tests.
 func RegisterAll(reg *router.Registry) {
 	reg.MustRegister("echo", func(ctx router.Ctx) ([]byte, error) {
 		return ctx.Payload(), nil

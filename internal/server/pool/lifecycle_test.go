@@ -151,7 +151,9 @@ func TestConcurrentDrainInvoke(t *testing.T) {
 		}()
 	}
 	close(start)
-	time.Sleep(500 * time.Microsecond) // let some Invokes land mid-flight
+	// Drain only once the stampede is under way, so it races Invokes in
+	// flight rather than a pool nobody has called yet.
+	waitFor(t, "an Invoke dispatched", func() bool { return p.Stats().Dispatched.Load() > 0 })
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := p.Drain(ctx); err != nil {
