@@ -27,6 +27,7 @@ func TestDispatchAblationOrdering(t *testing.T) {
 	if r.Render() == "" {
 		t.Error("empty render")
 	}
+	checkGolden(t, "dispatch", r.Render())
 }
 
 func TestMPKComparisonReproducesSection22(t *testing.T) {
@@ -52,4 +53,5 @@ func TestMPKComparisonReproducesSection22(t *testing.T) {
 		t.Errorf("idealized MPK = %.2f MRPS, expected far below Jord's %.2f",
 			got/1e6, byName["Jord"].TputUnderSLO/1e6)
 	}
+	checkGolden(t, "mpk", r.Render())
 }

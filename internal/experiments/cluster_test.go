@@ -39,4 +39,5 @@ func TestClusterScalingShape(t *testing.T) {
 		t.Errorf("skewed 2-server (%.1f M) collapsed below a single server (%.1f M)",
 			skewed.MeasuredMRPS, one.MeasuredMRPS)
 	}
+	checkGolden(t, "cluster", r.Render())
 }

@@ -34,6 +34,7 @@ func TestTable4MatchesPaper(t *testing.T) {
 	if !strings.Contains(r.Render(), "VMA lookup") {
 		t.Error("render missing rows")
 	}
+	checkGolden(t, "table4", r.Render())
 }
 
 func TestFig9HipsterShape(t *testing.T) {
@@ -76,6 +77,7 @@ func TestFig9HipsterShape(t *testing.T) {
 	if !strings.Contains(r.Render(), "hipster") {
 		t.Error("render missing panel")
 	}
+	checkGolden(t, "fig9-hipster", r.Render())
 }
 
 func TestFig10Shape(t *testing.T) {
@@ -105,6 +107,7 @@ func TestFig10Shape(t *testing.T) {
 	if byName["media"].P99NS <= byName["hipster"].P99NS {
 		t.Error("media should have a longer tail than hipster")
 	}
+	checkGolden(t, "fig10", r.Render())
 }
 
 func TestFig11Shape(t *testing.T) {
@@ -148,6 +151,7 @@ func TestFig11Shape(t *testing.T) {
 	if rp.PipeNS < 2*rp.ExecNS {
 		t.Errorf("RP: NightCore pipe %.0f should be multiples of exec %.0f", rp.PipeNS, rp.ExecNS)
 	}
+	checkGolden(t, "fig11", r.Render())
 }
 
 func TestFig13Shape(t *testing.T) {
@@ -171,6 +175,7 @@ func TestFig13Shape(t *testing.T) {
 			t.Errorf("%s: JordBT/Jord = %.0f%%, want roughly 40-80%%", panel.Workload, bt/jord*100)
 		}
 	}
+	checkGolden(t, "fig13", r.Render())
 }
 
 func TestFig14Shape(t *testing.T) {
@@ -210,6 +215,7 @@ func TestFig14Shape(t *testing.T) {
 	if last.ServiceNS > 4*r.Rows[0].ServiceNS {
 		t.Errorf("service grew too fast: %.0f -> %.0f ns", r.Rows[0].ServiceNS, last.ServiceNS)
 	}
+	checkGolden(t, "fig14", r.Render())
 }
 
 func TestOverheadsShape(t *testing.T) {
@@ -235,6 +241,7 @@ func TestOverheadsShape(t *testing.T) {
 	if frac["social"] >= frac["hipster"] {
 		t.Errorf("social should have the smallest overhead share: %+v", frac)
 	}
+	checkGolden(t, "overheads", r.Render())
 }
 
 func TestDownsample(t *testing.T) {

@@ -38,6 +38,7 @@ func TestMotivationGapIsOrdersOfMagnitude(t *testing.T) {
 	if r.PipeHopNS < 100*r.PmoveNS {
 		t.Errorf("pipe hop %.0f ns vs pmove %.0f ns: want >= 100x", r.PipeHopNS, r.PmoveNS)
 	}
+	checkGolden(t, "motivation", r.Render())
 }
 
 func TestColdStartLadder(t *testing.T) {
@@ -68,4 +69,5 @@ func TestColdStartLadder(t *testing.T) {
 	if r.Render() == "" {
 		t.Error("empty render")
 	}
+	checkGolden(t, "coldstart", r.Render())
 }

@@ -24,4 +24,5 @@ func TestSampledPointTightensWithTrials(t *testing.T) {
 	if p.Render() == "" {
 		t.Fatal("empty render")
 	}
+	checkGolden(t, "sampled-hotel", p.Render())
 }
