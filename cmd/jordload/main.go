@@ -65,6 +65,7 @@ import (
 	"jord/internal/cliutil"
 	"jord/internal/metrics"
 	"jord/internal/server/gateway"
+	"jord/internal/server/trace"
 )
 
 // Fixed run parameters.
@@ -356,24 +357,7 @@ func printTraceSummary(client *http.Client, addr, fn string) {
 		log.Printf("trace summary unavailable (/tracez: %s)", resp.Status)
 		return
 	}
-	var doc struct {
-		Stages []struct {
-			Stage string `json:"stage"`
-			Count uint64 `json:"count"`
-			AvgNS int64  `json:"avg_ns"`
-			P50NS int64  `json:"p50_ns"`
-			P99NS int64  `json:"p99_ns"`
-		} `json:"stages"`
-		Slow []struct {
-			Func  string `json:"func"`
-			Spans []struct {
-				Outcome string           `json:"outcome"`
-				DurNS   int64            `json:"dur_ns"`
-				Stages  map[string]int64 `json:"stages"`
-				OtherNS int64            `json:"other_ns"`
-			} `json:"spans"`
-		} `json:"slow"`
-	}
+	var doc trace.Doc
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		log.Printf("trace summary unavailable (/tracez decode: %v)", err)
 		return
@@ -394,8 +378,9 @@ func printTraceSummary(client *http.Client, addr, fn string) {
 				continue
 			}
 			var parts []string
-			for _, stage := range []string{"parse", "admit", "queue", "init", "exec", "wait", "state", "teardown", "resp"} {
-				if d, ok := sp.Stages[stage]; ok && d > 0 {
+			for st := range trace.NumStages {
+				stage := trace.Stage(st).Name()
+				if d := sp.Stages[stage]; d > 0 {
 					parts = append(parts, fmt.Sprintf("%s %.0f%%", stage, 100*float64(d)/float64(sp.DurNS)))
 				}
 			}

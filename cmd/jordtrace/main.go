@@ -26,6 +26,7 @@ import (
 	"jord/internal/cliutil"
 	"jord/internal/core"
 	"jord/internal/privlib"
+	"jord/internal/server/trace"
 )
 
 func main() {
@@ -107,21 +108,6 @@ func main() {
 	fmt.Print(tracer.Render(freq))
 }
 
-// liveSpan mirrors the /tracez span wire form (see gateway /tracez).
-type liveSpan struct {
-	ID       uint64           `json:"id"`
-	ParentID uint64           `json:"parent_id"`
-	Func     string           `json:"func"`
-	External bool             `json:"external"`
-	Outcome  string           `json:"outcome"`
-	Watchdog bool             `json:"watchdog"`
-	DurNS    int64            `json:"dur_ns"`
-	Children int32            `json:"children"`
-	StateOps int32            `json:"state_ops"`
-	Stages   map[string]int64 `json:"stages"`
-	OtherNS  int64            `json:"other_ns"`
-}
-
 // renderLive pulls /tracez from a running jordd and renders its slowest
 // retained invocation (optionally one function's) in the Figure 4 flow —
 // the live twin of the simulated rendering, with wall-clock nanoseconds in
@@ -139,19 +125,13 @@ func renderLive(addr, fn string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("fetching /tracez: %s", resp.Status)
 	}
-	var doc struct {
-		Slow []struct {
-			Func  string     `json:"func"`
-			Spans []liveSpan `json:"spans"`
-		} `json:"slow"`
-		Recent []liveSpan `json:"recent"`
-	}
+	var doc trace.Doc
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		return fmt.Errorf("decoding /tracez: %w", err)
 	}
 
 	// Pick the slowest retained external span; fall back to the most recent.
-	var pick *liveSpan
+	var pick *trace.SpanView
 	for i := range doc.Slow {
 		for j := range doc.Slow[i].Spans {
 			s := &doc.Slow[i].Spans[j]

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"jord/internal/privlib"
+	"jord/internal/mem/vmatable"
 	"jord/internal/sim/engine"
 )
 
@@ -149,7 +149,7 @@ func (c *Cluster) forwardInternal(origin *Orchestrator, r *Request, p *engine.Pr
 	p.Delay(sendCPU)
 	r.Trace.Comm += sendCPU
 	if !origin.sys.Cfg.NightCore && r.ArgBufVA != 0 {
-		lat, err := origin.sys.Lib.Munmap(origin.Core, privlib.ExecutorPD, r.ArgBufVA)
+		lat, err := origin.sys.Lib.Munmap(origin.Core, vmatable.ExecutorPD, r.ArgBufVA)
 		if err != nil {
 			panic(fmt.Sprintf("core: freeing forwarded ArgBuf: %v", err))
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"jord/internal/mem/vmatable"
-	"jord/internal/privlib"
 	"jord/internal/sim/engine"
 	"jord/internal/sim/topo"
 )
@@ -174,7 +173,7 @@ func (c *Ctx) Wait(cookie Cookie) error {
 	// Collect: the result ArgBuf returns to this PD and its blocks stream
 	// from the callee's core (zero-copy).
 	lib := c.sys.Lib
-	lat, err := lib.Pmove(c.Core(), privlib.ExecutorPD, child.ArgBufVA, c.cont.pd, vmatable.PermRW)
+	lat, err := lib.Pmove(c.Core(), vmatable.ExecutorPD, child.ArgBufVA, c.cont.pd, vmatable.PermRW)
 	if err != nil {
 		panic(fmt.Sprintf("core: collecting child ArgBuf: %v", err))
 	}
@@ -232,7 +231,7 @@ func (c *Ctx) submit(fn FuncID, argBlocks int) (*Request, error) {
 		r.Trace.Exec += writeCost
 
 		// Hand the buffer to the runtime.
-		lat, err = lib.Pmove(c.Core(), c.cont.pd, va, privlib.ExecutorPD, vmatable.PermRW)
+		lat, err = lib.Pmove(c.Core(), c.cont.pd, va, vmatable.ExecutorPD, vmatable.PermRW)
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"jord/internal/mem/vmatable"
-	"jord/internal/privlib"
 	"jord/internal/sim/engine"
 	"jord/internal/sim/topo"
 )
@@ -112,7 +111,7 @@ func (e *Executor) chargeIsolation(p *engine.Proc, r *Request, lat engine.Time, 
 	if err != nil {
 		panic(fmt.Sprintf("core: executor %d isolation op: %v", e.Core, err))
 	}
-	lat += e.sys.touchInstr(e.Core, privlib.ExecutorPD, e.sys.funcDef(r.Fn).codeVA)
+	lat += e.sys.touchInstr(e.Core, vmatable.ExecutorPD, e.sys.funcDef(r.Fn).codeVA)
 	p.Delay(lat)
 	r.Trace.Isolation += lat
 	e.IsolationCycles += lat
@@ -125,7 +124,7 @@ func (e *Executor) chargeAlloc(p *engine.Proc, r *Request, lat engine.Time, err 
 	if err != nil {
 		panic(fmt.Sprintf("core: executor %d alloc op: %v", e.Core, err))
 	}
-	lat += e.sys.touchInstr(e.Core, privlib.ExecutorPD, e.sys.funcDef(r.Fn).codeVA)
+	lat += e.sys.touchInstr(e.Core, vmatable.ExecutorPD, e.sys.funcDef(r.Fn).codeVA)
 	p.Delay(lat)
 	r.Trace.Alloc += lat
 }
@@ -150,7 +149,7 @@ func (e *Executor) startInvocation(p *engine.Proc, r *Request) {
 		// NightCore worker: read the dispatch pipe (the blocked thread
 		// pays a scheduler wakeup first), copy the arguments out of shm,
 		// deserialize. No protection domains.
-		c = &Continuation{req: r, exec: e, pd: privlib.ExecutorPD}
+		c = &Continuation{req: r, exec: e, pd: vmatable.ExecutorPD}
 		bytes := r.Blocks * 64
 		cost := e.sys.IPC.WakeupLatency() + e.sys.IPC.MessageRecvCPU(bytes)
 		p.Delay(cost)
@@ -176,10 +175,10 @@ func (e *Executor) startInvocation(p *engine.Proc, r *Request) {
 		c.heapVA = heapVA
 
 		// Copy code permission into the PD (the executor domain retains it).
-		lat, err = lib.Pcopy(e.Core, privlib.ExecutorPD, def.codeVA, pd, vmatable.PermRX)
+		lat, err = lib.Pcopy(e.Core, vmatable.ExecutorPD, def.codeVA, pd, vmatable.PermRX)
 		e.chargeIsolation(p, r, lat, err)
 		// Transfer the ArgBuf permission to the PD.
-		lat, err = lib.Pmove(e.Core, privlib.ExecutorPD, r.ArgBufVA, pd, vmatable.PermRW)
+		lat, err = lib.Pmove(e.Core, vmatable.ExecutorPD, r.ArgBufVA, pd, vmatable.PermRW)
 		e.chargeIsolation(p, r, lat, err)
 
 		// The function's first touch of the ArgBuf pulls its blocks from
@@ -276,16 +275,16 @@ func (e *Executor) finishInvocation(p *engine.Proc, c *Continuation) {
 	} else {
 		// Transfer the ArgBuf (now holding outputs) back to the executor
 		// domain.
-		lat, err := lib.Pmove(e.Core, c.pd, r.ArgBufVA, privlib.ExecutorPD, vmatable.PermRW)
+		lat, err := lib.Pmove(e.Core, c.pd, r.ArgBufVA, vmatable.ExecutorPD, vmatable.PermRW)
 		e.chargeIsolation(p, r, lat, err)
 		// Revoke code access: move the PD's copy back onto the executor
 		// domain's existing grant.
-		lat, err = lib.Pmove(e.Core, c.pd, e.sys.funcDef(r.Fn).codeVA, privlib.ExecutorPD, vmatable.PermRX)
+		lat, err = lib.Pmove(e.Core, c.pd, e.sys.funcDef(r.Fn).codeVA, vmatable.ExecutorPD, vmatable.PermRX)
 		e.chargeIsolation(p, r, lat, err)
 
 		// Any ArgBufs the function created for nested calls die with it.
 		for _, va := range c.ownedBufs {
-			lat, err = lib.Munmap(e.Core, privlib.ExecutorPD, va)
+			lat, err = lib.Munmap(e.Core, vmatable.ExecutorPD, va)
 			e.chargeAlloc(p, r, lat, err)
 		}
 
@@ -308,7 +307,7 @@ func (e *Executor) finishInvocation(p *engine.Proc, c *Continuation) {
 	if !r.External && r.remoteHop && e.sys.cluster != nil && r.parent.exec.sys != e.sys {
 		if r.ArgBufVA != 0 {
 			// The remote-side staging ArgBuf dies once the results ship.
-			lat, err := lib.Munmap(e.Core, privlib.ExecutorPD, r.ArgBufVA)
+			lat, err := lib.Munmap(e.Core, vmatable.ExecutorPD, r.ArgBufVA)
 			e.chargeAlloc(p, r, lat, err)
 			r.ArgBufVA = 0
 		}
@@ -329,7 +328,7 @@ func (e *Executor) finishInvocation(p *engine.Proc, c *Continuation) {
 		e.sys.trace(EvComplete, r, e.Core, "")
 		if !e.sys.Cfg.NightCore {
 			// The root ArgBuf is dead once the response is sent.
-			lat, err := lib.Munmap(e.Core, privlib.ExecutorPD, r.ArgBufVA)
+			lat, err := lib.Munmap(e.Core, vmatable.ExecutorPD, r.ArgBufVA)
 			e.chargeAlloc(p, r, lat, err)
 		}
 		return

@@ -255,7 +255,7 @@ func (s *System) assignExecutor(e *Executor) {
 // executable VMA owned by the executor domain, from which per-invocation
 // PDs receive execute permission via pcopy.
 func (s *System) Register(name string, body func(*Ctx) error) (FuncID, error) {
-	codeVA, _, err := s.Lib.Mmap(0, privlib.ExecutorPD, 4096, vmatable.PermRX)
+	codeVA, _, err := s.Lib.Mmap(0, vmatable.ExecutorPD, 4096, vmatable.PermRX)
 	if err != nil {
 		return 0, fmt.Errorf("core: registering %s: %w", name, err)
 	}

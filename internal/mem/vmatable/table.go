@@ -154,7 +154,7 @@ func (t *Table) Translate(addr uint64, pd PDID, need Perm) (pa uint64, fault Fau
 	if !ok {
 		return 0, FaultUnmapped
 	}
-	perm, held, _ := vte.PermFor(pd)
+	perm, held := vte.PermFor(pd)
 	if !held || !perm.Has(need) {
 		return 0, FaultPermission
 	}

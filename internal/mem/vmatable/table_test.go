@@ -172,7 +172,7 @@ func TestTranslate(t *testing.T) {
 		t.Fatal("foreign address should report FaultUnmapped")
 	}
 	// Global VMA is readable from any PD.
-	g := &VTE{Bound: 128, Offs: 0xa000, Global: true, GlobalPerm: PermRX}
+	g := &VTE{Bound: 128, Offs: 0xa000, Perms: Perms{Global: PermRX}}
 	if err := tbl.Insert(0, 9, g); err != nil {
 		t.Fatal(err)
 	}

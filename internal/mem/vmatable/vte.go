@@ -1,13 +1,16 @@
 // Package vmatable implements Jord's VMA table: the flat, preallocated
 // "plain list" of VMA table entries (VTEs) that both PrivLib (software) and
 // the VMA table walker (hardware) traverse concurrently (paper §4.1), and
-// the VTE structure itself with its per-PD permission sub-array (§4.3,
-// Figure 8).
+// the VTE structure itself (§4.3, Figure 8). A VTE's permission part — the
+// G bit, the per-PD sub-array and its overflow list — is one type, Perms,
+// which the live runtime's VMAs (internal/server/pool) hold too, so the
+// simulated and live systems check permissions with the same code.
 package vmatable
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Perm is a VMA permission bitmask.
@@ -60,194 +63,198 @@ const SubEntries = 20
 // sharing (§4.3).
 const VTESize = 64
 
+// ExecutorPD is the protection domain of trusted runtime code
+// (orchestrators, executors, the gateway). It owns all code VMAs and
+// ArgBufs between transfers, in the simulator and the live runtime alike.
+const ExecutorPD PDID = 0
+
 // PDPerm is one sub-array (or overflow) entry: a protection domain and the
 // permission it holds on the VMA.
 type PDPerm struct {
 	PD   PDID
 	Perm Perm
+	used bool // a slot revoked to PermNone is distinguishable from a free one
+}
+
+// Perms is a VMA's permission record (Figure 8): the G bit with its global
+// permission, the inline per-PD sub-array, and the overflow list reached
+// through the VTE's ptr field past SubEntries sharers. The simulator's VTE
+// and the live runtime's VMA both hold one, so both check permissions with
+// the same code. The zero value grants nothing.
+//
+// The rules:
+//   - the G bit adds Global to every PD's own entry;
+//   - SetPerm (mmap, mprotect) replaces a PD's bits, while MovePerm and
+//     CopyPerm (pmove, pcopy) OR them into the receiver's;
+//   - PromoteGlobal requires the promoter to hold the bits and keeps every
+//     per-PD grant, so DemoteGlobal restores exactly the pre-promotion view;
+//   - DemoteGlobal requires the demoter's own entry to hold the bits.
+type Perms struct {
+	// Global is the G bit and its attr permission: nonzero grants these
+	// bits to every PD.
+	Global Perm
+
+	Sub      [SubEntries]PDPerm
+	Overflow []PDPerm
 }
 
 // VTE is a VMA table entry (Figure 8): the VMA's bound (requested size),
-// its physical offset, attribute bits, and per-PD permissions.
+// its physical offset, the P bit, and its permission record.
 type VTE struct {
 	Bound uint64 // requested VMA size in bytes (<= class size)
 	Offs  uint64 // physical base address backing the VMA (52 bits)
+	Priv  bool   // P bit: privileged VMA (PrivLib-only)
 
-	Global     bool // G bit: permission applies to every PD
-	Priv       bool // P bit: privileged VMA (PrivLib-only)
-	GlobalPerm Perm // attr permission, used when Global is set
-
-	// Sub is the fixed in-entry PD permission sub-array; unused slots have
-	// Perm == PermNone. Overflow holds the spill list reached via the
-	// VTE's ptr field for VMAs with more than SubEntries sharers.
-	Sub      [SubEntries]PDPerm
-	Overflow []PDPerm
-
-	// used marks sub slots occupied. A slot with Perm == PermNone could be
-	// a revoked-to-none entry, so track occupancy explicitly.
-	used [SubEntries]bool
+	Perms
 }
 
-// PermFor returns the permission PD pd holds on this VMA and whether pd
-// appears at all (or the VMA is global). scanned reports how many
-// sub-array/overflow slots were examined — the work the hardware walker or
-// PrivLib performs, used for timing.
-func (v *VTE) PermFor(pd PDID) (perm Perm, ok bool, scanned int) {
-	if v.Global {
-		return v.GlobalPerm, true, 0
-	}
-	for i := range v.Sub {
-		scanned++
-		if v.used[i] && v.Sub[i].PD == pd {
-			return v.Sub[i].Perm, true, scanned
+// entry returns pd's own slot, or nil if it has none.
+func (p *Perms) entry(pd PDID) *PDPerm {
+	for i := range p.Sub {
+		if p.Sub[i].used && p.Sub[i].PD == pd {
+			return &p.Sub[i]
 		}
 	}
-	for i := range v.Overflow {
-		scanned++
-		if v.Overflow[i].PD == pd {
-			return v.Overflow[i].Perm, true, scanned
+	for i := range p.Overflow {
+		if p.Overflow[i].PD == pd {
+			return &p.Overflow[i]
 		}
 	}
-	return PermNone, false, scanned
+	return nil
 }
 
-// SetPerm grants pd the given permission, updating an existing slot or
-// claiming a free one. spilled reports whether the overflow list had to be
-// used (a slower path the caller charges extra for).
-func (v *VTE) SetPerm(pd PDID, perm Perm) (spilled bool) {
-	for i := range v.Sub {
-		if v.used[i] && v.Sub[i].PD == pd {
-			v.Sub[i].Perm = perm
-			return false
+// claim returns pd's slot, taking the first free sub-array slot (or
+// spilling to the overflow list) if pd has none yet.
+func (p *Perms) claim(pd PDID) *PDPerm {
+	free := -1
+	for i := range p.Sub {
+		if !p.Sub[i].used {
+			if free < 0 {
+				free = i
+			}
+		} else if p.Sub[i].PD == pd {
+			return &p.Sub[i]
 		}
 	}
-	for i := range v.Overflow {
-		if v.Overflow[i].PD == pd {
-			v.Overflow[i].Perm = perm
+	for i := range p.Overflow {
+		if p.Overflow[i].PD == pd {
+			return &p.Overflow[i]
+		}
+	}
+	if free >= 0 {
+		p.Sub[free] = PDPerm{PD: pd, used: true}
+		return &p.Sub[free]
+	}
+	p.Overflow = append(p.Overflow, PDPerm{PD: pd, used: true})
+	return &p.Overflow[len(p.Overflow)-1]
+}
+
+// PermFor returns the permission pd holds on this VMA — its own entry plus
+// the G bit's — and whether it holds one at all.
+func (p *Perms) PermFor(pd PDID) (perm Perm, ok bool) {
+	if e := p.entry(pd); e != nil {
+		return p.Global | e.Perm, true
+	}
+	return p.Global, p.Global != PermNone
+}
+
+// Own returns the permission pd holds in its own right, ignoring the G bit,
+// and whether it has an entry.
+func (p *Perms) Own(pd PDID) (perm Perm, ok bool) {
+	if e := p.entry(pd); e != nil {
+		return e.Perm, true
+	}
+	return PermNone, false
+}
+
+// SetPerm sets pd's own permission to perm, replacing what it held.
+func (p *Perms) SetPerm(pd PDID, perm Perm) { p.claim(pd).Perm = perm }
+
+// ClearPerm removes pd's entry entirely. It reports whether pd had one.
+func (p *Perms) ClearPerm(pd PDID) bool {
+	for i := range p.Sub {
+		if p.Sub[i].used && p.Sub[i].PD == pd {
+			p.Sub[i] = PDPerm{}
 			return true
 		}
 	}
-	for i := range v.Sub {
-		if !v.used[i] {
-			v.Sub[i] = PDPerm{PD: pd, Perm: perm}
-			v.used[i] = true
-			return false
-		}
-	}
-	v.Overflow = append(v.Overflow, PDPerm{PD: pd, Perm: perm})
-	return true
-}
-
-// ClearPerm removes pd's permission entirely. It reports whether pd held a
-// permission.
-func (v *VTE) ClearPerm(pd PDID) bool {
-	for i := range v.Sub {
-		if v.used[i] && v.Sub[i].PD == pd {
-			v.Sub[i] = PDPerm{}
-			v.used[i] = false
-			return true
-		}
-	}
-	for i := range v.Overflow {
-		if v.Overflow[i].PD == pd {
-			v.Overflow = append(v.Overflow[:i], v.Overflow[i+1:]...)
+	for i := range p.Overflow {
+		if p.Overflow[i].PD == pd {
+			p.Overflow = slices.Delete(p.Overflow, i, i+1)
 			return true
 		}
 	}
 	return false
 }
 
-// MovePerm atomically transfers from's permission on the VMA to to,
-// capping it at perm (the pmove semantics). It fails if from holds no
-// permission or holds less than perm.
-func (v *VTE) MovePerm(from, to PDID, perm Perm) error {
-	have, ok, _ := v.PermFor(from)
-	if !ok {
-		return fmt.Errorf("vmatable: pmove: PD %d holds no permission", from)
+// denied is the refusal of an operation needing want from a PD holding
+// held.
+func denied(held, want Perm) error {
+	return fmt.Errorf("holds %v, needs %v", held, want)
+}
+
+// MovePerm transfers perm from from to to, removing from's entry (pmove,
+// the zero-copy ArgBuf handoff of §3.4). It fails unless from holds perm.
+func (p *Perms) MovePerm(from, to PDID, perm Perm) error {
+	if have, _ := p.PermFor(from); !have.Has(perm) {
+		return denied(have, perm)
 	}
-	if !have.Has(perm) {
-		return fmt.Errorf("vmatable: pmove: PD %d holds %v, cannot grant %v", from, have, perm)
-	}
-	v.ClearPerm(from)
-	v.SetPerm(to, perm)
+	p.ClearPerm(from)
+	p.claim(to).Perm |= perm
 	return nil
 }
 
-// CopyPerm duplicates from's permission to to, capped at perm (pcopy).
-func (v *VTE) CopyPerm(from, to PDID, perm Perm) error {
-	have, ok, _ := v.PermFor(from)
-	if !ok {
-		return fmt.Errorf("vmatable: pcopy: PD %d holds no permission", from)
+// CopyPerm grants perm to to while from keeps its own (pcopy). It fails
+// unless from holds perm.
+func (p *Perms) CopyPerm(from, to PDID, perm Perm) error {
+	if have, _ := p.PermFor(from); !have.Has(perm) {
+		return denied(have, perm)
 	}
-	if !have.Has(perm) {
-		return fmt.Errorf("vmatable: pcopy: PD %d holds %v, cannot grant %v", from, have, perm)
-	}
-	v.SetPerm(to, perm)
+	p.claim(to).Perm |= perm
 	return nil
 }
 
-// PromoteGlobal sets the G bit, granting perm to every PD (promotion of a
-// hot read-mostly VMA: readers stop paying sub-array walks entirely — the
-// walker short-circuits on the G bit). Sub-array and overflow entries whose
-// permission is covered by perm become redundant and are cleared, freeing
-// sub-array slots; entries holding MORE than perm (e.g. the owner's RW
-// under a global R) are preserved so DemoteGlobal restores them, though
-// they are shadowed while the G bit is set. Returns how many redundant
-// entries were compacted away.
-func (v *VTE) PromoteGlobal(perm Perm) (cleared int) {
-	v.Global = true
-	v.GlobalPerm = perm
-	for i := range v.Sub {
-		if v.used[i] && perm.Has(v.Sub[i].Perm) {
-			v.Sub[i] = PDPerm{}
-			v.used[i] = false
-			cleared++
-		}
+// PromoteGlobal sets perm in the G bit, granting it to every PD (promotion
+// of a hot read-mostly VMA: readers stop paying sub-array walks and
+// per-reader grants). It fails unless from holds perm.
+func (p *Perms) PromoteGlobal(from PDID, perm Perm) error {
+	if have, _ := p.PermFor(from); !have.Has(perm) {
+		return denied(have, perm)
 	}
-	for i := 0; i < len(v.Overflow); {
-		if perm.Has(v.Overflow[i].Perm) {
-			v.Overflow = append(v.Overflow[:i], v.Overflow[i+1:]...)
-			cleared++
-			continue
-		}
-		i++
-	}
-	return cleared
+	p.Global |= perm
+	return nil
 }
 
-// DemoteGlobal clears the G bit (a write is about to happen, so the
-// every-PD read grant must be revoked). Per-PD entries preserved across
-// the promotion become visible to the walker again. Returns the permission
-// that was global (PermNone if the VMA was not global).
-func (v *VTE) DemoteGlobal() Perm {
-	was := PermNone
-	if v.Global {
-		was = v.GlobalPerm
+// DemoteGlobal clears perm from the G bit (a write is about to happen, so
+// the every-PD grant must be revoked). It fails unless from holds perm in
+// its own right, not merely through the G bit it is revoking.
+func (p *Perms) DemoteGlobal(from PDID, perm Perm) error {
+	if own, _ := p.Own(from); !own.Has(perm) {
+		return denied(own, perm)
 	}
-	v.Global = false
-	v.GlobalPerm = PermNone
-	return was
+	p.Global &^= perm
+	return nil
 }
 
-// Sharers returns the PDs currently holding any permission.
-func (v *VTE) Sharers() []PDID {
+// Sharers returns the PDs holding an entry.
+func (p *Perms) Sharers() []PDID {
 	var out []PDID
-	for i := range v.Sub {
-		if v.used[i] {
-			out = append(out, v.Sub[i].PD)
+	for i := range p.Sub {
+		if p.Sub[i].used {
+			out = append(out, p.Sub[i].PD)
 		}
 	}
-	for _, e := range v.Overflow {
+	for _, e := range p.Overflow {
 		out = append(out, e.PD)
 	}
 	return out
 }
 
-// NumSharers returns the number of PDs holding permissions.
-func (v *VTE) NumSharers() int {
-	n := len(v.Overflow)
-	for i := range v.Sub {
-		if v.used[i] {
+// NumSharers returns the number of PDs holding an entry.
+func (p *Perms) NumSharers() int {
+	n := len(p.Overflow)
+	for i := range p.Sub {
+		if p.Sub[i].used {
 			n++
 		}
 	}
@@ -276,18 +283,17 @@ func (v *VTE) Pack(ptr uint64) [VTESize]byte {
 	var b [VTESize]byte
 	binary.LittleEndian.PutUint64(b[0:], v.Bound)
 	attr := uint64(attrValid)
-	if v.Global {
-		attr |= attrG
+	if v.Global != PermNone {
+		attr |= attrG | uint64(v.Global)<<attrPermS
 	}
 	if v.Priv {
 		attr |= attrP
 	}
-	attr |= uint64(v.GlobalPerm) << attrPermS
 	binary.LittleEndian.PutUint64(b[8:], v.Offs&offsMask|attr<<52)
 	binary.LittleEndian.PutUint64(b[16:], ptr)
 	for i := 0; i < SubEntries; i++ {
 		var e uint16
-		if v.used[i] {
+		if v.Sub[i].used {
 			e = 1<<15 | uint16(v.Sub[i].Perm&7)<<12 | uint16(v.Sub[i].PD)&0xfff
 		}
 		binary.LittleEndian.PutUint16(b[24+2*i:], e)
@@ -306,15 +312,15 @@ func UnpackVTE(b [VTESize]byte) (v VTE, ptr uint64, ok bool) {
 	}
 	v.Bound = binary.LittleEndian.Uint64(b[0:])
 	v.Offs = word1 & offsMask
-	v.Global = attr&attrG != 0
+	if attr&attrG != 0 {
+		v.Global = Perm(attr >> attrPermS & 7)
+	}
 	v.Priv = attr&attrP != 0
-	v.GlobalPerm = Perm(attr >> attrPermS & 7)
 	ptr = binary.LittleEndian.Uint64(b[16:])
 	for i := 0; i < SubEntries; i++ {
 		e := binary.LittleEndian.Uint16(b[24+2*i:])
 		if e&(1<<15) != 0 {
-			v.used[i] = true
-			v.Sub[i] = PDPerm{PD: PDID(e & 0xfff), Perm: Perm(e >> 12 & 7)}
+			v.Sub[i] = PDPerm{PD: PDID(e & 0xfff), Perm: Perm(e >> 12 & 7), used: true}
 		}
 	}
 	return v, ptr, true

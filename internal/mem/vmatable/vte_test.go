@@ -34,25 +34,23 @@ func TestPermHas(t *testing.T) {
 
 func TestSetGetClearPerm(t *testing.T) {
 	v := &VTE{Bound: 128}
-	if _, ok, _ := v.PermFor(7); ok {
+	if _, ok := v.PermFor(7); ok {
 		t.Fatal("fresh VTE should hold no permissions")
 	}
-	if spilled := v.SetPerm(7, PermRW); spilled {
-		t.Fatal("first entry should use the sub-array")
-	}
-	perm, ok, _ := v.PermFor(7)
+	v.SetPerm(7, PermRW)
+	perm, ok := v.PermFor(7)
 	if !ok || perm != PermRW {
 		t.Fatalf("PermFor(7) = %v,%v, want rw-,true", perm, ok)
 	}
 	// Update in place.
 	v.SetPerm(7, PermR)
-	if perm, _, _ = v.PermFor(7); perm != PermR {
+	if perm, _ = v.PermFor(7); perm != PermR {
 		t.Fatalf("updated perm = %v, want r--", perm)
 	}
 	if !v.ClearPerm(7) {
 		t.Fatal("ClearPerm should report removal")
 	}
-	if _, ok, _ = v.PermFor(7); ok {
+	if _, ok = v.PermFor(7); ok {
 		t.Fatal("cleared PD still visible")
 	}
 	if v.ClearPerm(7) {
@@ -63,41 +61,29 @@ func TestSetGetClearPerm(t *testing.T) {
 func TestSubArraySpill(t *testing.T) {
 	v := &VTE{Bound: 128}
 	for i := 0; i < SubEntries; i++ {
-		if spilled := v.SetPerm(PDID(i), PermR); spilled {
+		v.SetPerm(PDID(i), PermR)
+		if len(v.Overflow) != 0 {
 			t.Fatalf("entry %d spilled before sub-array full", i)
 		}
 	}
 	// The 21st sharer goes to the overflow list (paper: "rare cases with
 	// more sharers" use the ptr field).
-	if spilled := v.SetPerm(PDID(SubEntries), PermW); !spilled {
+	v.SetPerm(PDID(SubEntries), PermW)
+	if len(v.Overflow) != 1 {
 		t.Fatal("21st sharer should spill to overflow")
 	}
 	if v.NumSharers() != SubEntries+1 {
 		t.Fatalf("sharers = %d, want %d", v.NumSharers(), SubEntries+1)
 	}
-	perm, ok, _ := v.PermFor(PDID(SubEntries))
+	perm, ok := v.PermFor(PDID(SubEntries))
 	if !ok || perm != PermW {
 		t.Fatal("overflow entry not found")
 	}
 	// Clearing a sub-array slot frees it for reuse without spill.
 	v.ClearPerm(3)
-	if spilled := v.SetPerm(999, PermX); spilled {
+	v.SetPerm(999, PermX)
+	if len(v.Overflow) != 1 || v.Sub[3].PD != 999 {
 		t.Fatal("freed sub slot should be reused before overflow")
-	}
-}
-
-func TestPermForScanCost(t *testing.T) {
-	v := &VTE{Bound: 128}
-	v.SetPerm(1, PermR)
-	_, _, scanned := v.PermFor(1)
-	if scanned != 1 {
-		t.Fatalf("first-slot hit scanned %d, want 1", scanned)
-	}
-	// Global entries answer without scanning the sub-array.
-	g := &VTE{Bound: 128, Global: true, GlobalPerm: PermRX}
-	perm, ok, scanned := g.PermFor(1234)
-	if !ok || perm != PermRX || scanned != 0 {
-		t.Fatalf("global: perm=%v ok=%v scanned=%d", perm, ok, scanned)
 	}
 }
 
@@ -107,10 +93,10 @@ func TestMovePerm(t *testing.T) {
 	if err := v.MovePerm(1, 2, PermRW); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := v.PermFor(1); ok {
+	if _, ok := v.PermFor(1); ok {
 		t.Fatal("source PD should lose permission after pmove")
 	}
-	perm, ok, _ := v.PermFor(2)
+	perm, ok := v.PermFor(2)
 	if !ok || perm != PermRW {
 		t.Fatal("target PD should gain permission after pmove")
 	}
@@ -130,8 +116,8 @@ func TestCopyPerm(t *testing.T) {
 	if err := v.CopyPerm(1, 2, PermR); err != nil {
 		t.Fatal(err)
 	}
-	p1, _, _ := v.PermFor(1)
-	p2, _, _ := v.PermFor(2)
+	p1, _ := v.PermFor(1)
+	p2, _ := v.PermFor(2)
 	if p1 != PermRW || p2 != PermR {
 		t.Fatalf("after pcopy: src=%v dst=%v, want rw-/r--", p1, p2)
 	}
@@ -141,13 +127,12 @@ func TestCopyPerm(t *testing.T) {
 }
 
 func TestPackUnpackRoundTrip(t *testing.T) {
-	f := func(bound, offs uint64, global, priv bool, gp uint8, pds []uint16, perms []uint8) bool {
+	f := func(bound, offs uint64, priv bool, gp uint8, pds []uint16, perms []uint8) bool {
 		v := &VTE{
-			Bound:      bound,
-			Offs:       offs & (1<<52 - 1),
-			Global:     global,
-			Priv:       priv,
-			GlobalPerm: Perm(gp & 7),
+			Bound: bound,
+			Offs:  offs & (1<<52 - 1),
+			Priv:  priv,
+			Perms: Perms{Global: Perm(gp & 7)},
 		}
 		n := len(pds)
 		if len(perms) < n {
@@ -169,18 +154,12 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			return false
 		}
 		if got.Bound != v.Bound || got.Offs != v.Offs ||
-			got.Global != v.Global || got.Priv != v.Priv ||
-			got.GlobalPerm != v.GlobalPerm {
+			got.Global != v.Global || got.Priv != v.Priv {
 			return false
 		}
-		if !global {
-			// (When Global is set PermFor answers from GlobalPerm, so
-			// per-PD grants are only observable on non-global entries.)
-			for pd, perm := range want {
-				gp, ok, _ := got.PermFor(pd)
-				if !ok || gp != perm {
-					return false
-				}
+		for pd, perm := range want {
+			if own, ok := got.Own(pd); !ok || own != perm {
+				return false
 			}
 		}
 		return got.NumSharers() == v.NumSharers()
@@ -219,40 +198,44 @@ func TestPromoteDemoteGlobal(t *testing.T) {
 	v.SetPerm(2, PermR)  // reader
 	v.SetPerm(3, PermR)  // reader
 
-	cleared := v.PromoteGlobal(PermR)
-	if cleared != 2 {
-		t.Fatalf("PromoteGlobal cleared %d redundant entries, want 2", cleared)
+	// Only a PD holding the bits may promote them.
+	if err := v.PromoteGlobal(99, PermR); err == nil {
+		t.Fatal("promotion by a PD holding nothing should fail")
 	}
-	// Every PD — holder or not — now reads via the G bit, with zero scans:
-	// the walker short-circuits before touching the sub-array.
-	for _, pd := range []PDID{1, 2, 3, 99} {
-		perm, ok, scanned := v.PermFor(pd)
-		if !ok || perm != PermR || scanned != 0 {
-			t.Fatalf("promoted PermFor(%d) = (%v, %v, %d scans), want (r--, true, 0)",
-				pd, perm, ok, scanned)
+	if err := v.PromoteGlobal(1, PermR); err != nil {
+		t.Fatal(err)
+	}
+	// The G bit adds to each PD's own entry: every PD — holder or not —
+	// now reads, and the owner keeps its write bit.
+	for pd, want := range map[PDID]Perm{1: PermRW, 2: PermR, 3: PermR, 99: PermR} {
+		if perm, ok := v.PermFor(pd); !ok || perm != want {
+			t.Fatalf("promoted PermFor(%d) = (%v, %v), want (%v, true)", pd, perm, ok, want)
 		}
+	}
+	// Promotion keeps every per-PD grant.
+	if n := v.NumSharers(); n != 3 {
+		t.Fatalf("sharers after promotion = %d, want 3", n)
 	}
 
-	// Demotion returns the prior global permission and re-exposes the
-	// preserved stronger entry (the owner's RW) to the walker.
-	if was := v.DemoteGlobal(); was != PermR {
-		t.Fatalf("DemoteGlobal = %v, want r--", was)
+	// A PD reading only through the G bit cannot revoke it.
+	if err := v.DemoteGlobal(99, PermR); err == nil {
+		t.Fatal("demotion by a PD without its own entry should fail")
 	}
-	if perm, ok, _ := v.PermFor(1); !ok || perm != PermRW {
-		t.Fatalf("owner after demotion = (%v, %v), want (rw-, true)", perm, ok)
+	if err := v.DemoteGlobal(1, PermR); err != nil {
+		t.Fatal(err)
 	}
-	for _, pd := range []PDID{2, 3, 99} {
-		if _, ok, _ := v.PermFor(pd); ok {
-			t.Fatalf("reader %d still holds permission after demotion", pd)
+	// Demotion restores the pre-promotion view exactly.
+	for pd, want := range map[PDID]Perm{1: PermRW, 2: PermR, 3: PermR} {
+		if perm, ok := v.PermFor(pd); !ok || perm != want {
+			t.Fatalf("demoted PermFor(%d) = (%v, %v), want (%v, true)", pd, perm, ok, want)
 		}
 	}
-	// Demoting a non-global VTE is a harmless no-op reporting PermNone.
-	if was := v.DemoteGlobal(); was != PermNone {
-		t.Fatalf("second DemoteGlobal = %v, want ---", was)
+	if _, ok := v.PermFor(99); ok {
+		t.Fatal("non-holder still holds a permission after demotion")
 	}
 }
 
-func TestPromoteGlobalCompactsOverflow(t *testing.T) {
+func TestPromoteGlobalKeepsOverflow(t *testing.T) {
 	v := &VTE{Bound: 128}
 	// Fill the sub-array and spill readers into the overflow list.
 	for i := 0; i < SubEntries+4; i++ {
@@ -261,16 +244,16 @@ func TestPromoteGlobalCompactsOverflow(t *testing.T) {
 	if len(v.Overflow) != 4 {
 		t.Fatalf("overflow = %d entries, want 4", len(v.Overflow))
 	}
-	if cleared := v.PromoteGlobal(PermR); cleared != SubEntries+4 {
-		t.Fatalf("cleared = %d, want %d", cleared, SubEntries+4)
+	if err := v.PromoteGlobal(SubEntries+4, PermR); err != nil {
+		t.Fatal(err)
 	}
-	if len(v.Overflow) != 0 || v.NumSharers() != 0 {
-		t.Fatalf("promotion left %d overflow / %d sharers", len(v.Overflow), v.NumSharers())
+	if len(v.Overflow) != 4 || v.NumSharers() != SubEntries+4 {
+		t.Fatalf("promotion left %d overflow / %d sharers, want 4 / %d",
+			len(v.Overflow), v.NumSharers(), SubEntries+4)
 	}
 	// The packed form carries the G bit and the global permission.
-	packed := v.Pack(0)
-	u, _, ok := UnpackVTE(packed)
-	if !ok || !u.Global || u.GlobalPerm != PermR {
-		t.Fatalf("packed/unpacked G bit lost: global=%v perm=%v", u.Global, u.GlobalPerm)
+	u, _, ok := UnpackVTE(v.Pack(0))
+	if !ok || u.Global != PermR {
+		t.Fatalf("packed/unpacked G bit lost: global=%v", u.Global)
 	}
 }

@@ -43,8 +43,7 @@ func (l *Lib) mapInternal(pd vmatable.PDID, length uint64, perm vmatable.Perm, p
 	}
 	vte := &vmatable.VTE{Bound: length, Offs: pa, Priv: priv}
 	if priv {
-		vte.Global = true
-		vte.GlobalPerm = perm
+		vte.Global = perm
 	} else {
 		vte.SetPerm(pd, perm)
 		l.grants[pd]++
@@ -83,8 +82,8 @@ func (l *Lib) Munmap(core topo.CoreID, pd vmatable.PDID, addr uint64) (lat engin
 	if vte.Priv {
 		return 0, &Fault{Kind: vmatable.FaultPrivilege, Addr: addr, PD: pd}
 	}
-	if l.isolated() && pd != ExecutorPD {
-		if _, held, _ := vte.PermFor(pd); !held {
+	if l.isolated() && pd != vmatable.ExecutorPD {
+		if _, held := vte.PermFor(pd); !held {
 			return 0, &Fault{Kind: vmatable.FaultPermission, Addr: addr, PD: pd}
 		}
 	}
@@ -126,14 +125,13 @@ func (l *Lib) Mprotect(core topo.CoreID, pd vmatable.PDID, addr uint64, perm vma
 	if vte.Priv {
 		return 0, &Fault{Kind: vmatable.FaultPrivilege, Addr: addr, PD: pd}
 	}
-	_, held, _ := vte.PermFor(pd)
-	if !held && pd != ExecutorPD {
+	old, held := vte.PermFor(pd)
+	if !held && pd != vmatable.ExecutorPD {
 		return 0, &Fault{Kind: vmatable.FaultPermission, Addr: addr, PD: pd}
 	}
 	if !held {
 		l.grants[pd]++
 	}
-	old, _, _ := vte.PermFor(pd)
 	vte.SetPerm(pd, perm)
 	lat = l.vteUpdate(core, d.Class, d.Index, OpMprotect, perm.Has(old))
 	return lat, nil
@@ -182,7 +180,7 @@ func (l *Lib) Pmove(core topo.CoreID, from vmatable.PDID, addr uint64, to vmatab
 	if !l.pdLive[to] {
 		return 0, fmt.Errorf("privlib: pmove to dead PD %d", to)
 	}
-	_, toHeld, _ := vte.PermFor(to)
+	_, toHeld := vte.PermFor(to)
 	if err := vte.MovePerm(from, to, perm); err != nil {
 		return 0, &Fault{Kind: vmatable.FaultPermission, Addr: addr, PD: from}
 	}
@@ -210,7 +208,7 @@ func (l *Lib) Pcopy(core topo.CoreID, from vmatable.PDID, addr uint64, to vmatab
 	if !l.pdLive[to] {
 		return 0, fmt.Errorf("privlib: pcopy to dead PD %d", to)
 	}
-	_, toHeld, _ := vte.PermFor(to)
+	_, toHeld := vte.PermFor(to)
 	if err := vte.CopyPerm(from, to, perm); err != nil {
 		return 0, &Fault{Kind: vmatable.FaultPermission, Addr: addr, PD: from}
 	}
@@ -226,7 +224,7 @@ func (l *Lib) Pcopy(core topo.CoreID, from vmatable.PDID, addr uint64, to vmatab
 // Cget creates a new protection domain.
 func (l *Lib) Cget(core topo.CoreID) (pd vmatable.PDID, lat engine.Time, err error) {
 	if !l.isolated() {
-		return ExecutorPD, 0, nil
+		return vmatable.ExecutorPD, 0, nil
 	}
 	if len(l.pdFree) == 0 || (l.Variant == MPK && l.LivePDs() >= l.MPKKeyLimit) {
 		return 0, 0, fmt.Errorf("privlib: out of protection domains")
@@ -248,7 +246,7 @@ func (l *Lib) Cput(core topo.CoreID, pd vmatable.PDID) (lat engine.Time, err err
 	if !l.isolated() {
 		return 0, nil
 	}
-	if pd == ExecutorPD {
+	if pd == vmatable.ExecutorPD {
 		return 0, fmt.Errorf("privlib: cannot destroy the executor domain")
 	}
 	if !l.pdLive[pd] {
@@ -282,7 +280,7 @@ func (l *Lib) Center(core topo.CoreID, pd vmatable.PDID) (lat engine.Time, err e
 
 // Cexit suspends the current PD and switches back to the executor.
 func (l *Lib) Cexit(core topo.CoreID) (lat engine.Time, err error) {
-	return l.pdSwitch(core, ExecutorPD, OpCexit)
+	return l.pdSwitch(core, vmatable.ExecutorPD, OpCexit)
 }
 
 func (l *Lib) pdSwitch(core topo.CoreID, pd vmatable.PDID, op Op) (engine.Time, error) {

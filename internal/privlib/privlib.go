@@ -92,10 +92,6 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("privlib: %v fault at %#x in PD %d", f.Kind, f.Addr, f.PD)
 }
 
-// ExecutorPD is the protection domain of trusted runtime code (orchestrators
-// and executors). It owns all code VMAs and ArgBufs between transfers.
-const ExecutorPD vmatable.PDID = 0
-
 // Lib is one worker server's PrivLib instance.
 type Lib struct {
 	Variant Variant
@@ -191,16 +187,15 @@ func Boot(m *topo.Machine, vcfg vlb.Config, variant Variant) (*Lib, error) {
 	for id := vmatable.MaxPDs - 1; id >= 1; id-- {
 		l.pdFree = append(l.pdFree, vmatable.PDID(id))
 	}
-	l.pdLive[ExecutorPD] = true
+	l.pdLive[vmatable.ExecutorPD] = true
 
 	// The VMA table lives in a privileged, global VMA at a fixed position
 	// (class tableClass, index 0); reserve that index.
 	l.idxNext[tableClass] = 1
 	tvte := &vmatable.VTE{
-		Bound:      vmatable.DefaultTableBytes,
-		Priv:       true,
-		Global:     true,
-		GlobalPerm: vmatable.PermRW,
+		Bound: vmatable.DefaultTableBytes,
+		Priv:  true,
+		Perms: vmatable.Perms{Global: vmatable.PermRW},
 	}
 	pa, _, err := l.Phys.Alloc(tableClass)
 	if err != nil {
@@ -214,12 +209,12 @@ func Boot(m *topo.Machine, vcfg vlb.Config, variant Variant) (*Lib, error) {
 
 	// PrivLib's own heap and code: privileged VMAs untrusted code must
 	// never read; the code VMA is entered only through uatg gates.
-	heapVA, _, err := l.mapInternal(ExecutorPD, 1<<20, vmatable.PermRW, true)
+	heapVA, _, err := l.mapInternal(vmatable.ExecutorPD, 1<<20, vmatable.PermRW, true)
 	if err != nil {
 		return nil, err
 	}
 	l.PrivHeapVA = heapVA
-	codeVA, _, err := l.mapInternal(ExecutorPD, 64<<10, vmatable.PermRX, true)
+	codeVA, _, err := l.mapInternal(vmatable.ExecutorPD, 64<<10, vmatable.PermRX, true)
 	if err != nil {
 		return nil, err
 	}

@@ -194,7 +194,7 @@ func TestMunmapValidation(t *testing.T) {
 
 func TestPDLifecycleErrors(t *testing.T) {
 	l := boot(t, PlainList)
-	if _, err := l.Cput(0, ExecutorPD); err == nil {
+	if _, err := l.Cput(0, vmatable.ExecutorPD); err == nil {
 		t.Fatal("destroyed the executor domain")
 	}
 	if _, err := l.Cput(0, 99); err == nil {
@@ -228,10 +228,10 @@ func TestVMAAddressReuse(t *testing.T) {
 func TestNoIsolationBypassesChecks(t *testing.T) {
 	l := boot(t, NoIsolation)
 	pd, lat, err := l.Cget(0)
-	if err != nil || lat != 0 || pd != ExecutorPD {
+	if err != nil || lat != 0 || pd != vmatable.ExecutorPD {
 		t.Fatalf("JordNI cget: pd=%d lat=%d err=%v, want 0,0,nil", pd, lat, err)
 	}
-	addr, _, err := l.Mmap(0, ExecutorPD, 256, vmatable.PermR)
+	addr, _, err := l.Mmap(0, vmatable.ExecutorPD, 256, vmatable.PermR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestNoIsolationBypassesChecks(t *testing.T) {
 	if lat, err := l.Pmove(0, 1, addr, 2, vmatable.PermR); err != nil || lat != 0 {
 		t.Fatalf("JordNI pmove: lat=%d err=%v", lat, err)
 	}
-	if lat, _ := l.Ccall(0, ExecutorPD); lat != 0 {
+	if lat, _ := l.Ccall(0, vmatable.ExecutorPD); lat != 0 {
 		t.Fatal("JordNI ccall should be free")
 	}
 }

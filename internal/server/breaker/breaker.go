@@ -25,6 +25,7 @@ package breaker
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -356,15 +357,6 @@ func (s *Set) NotClosed() []string {
 			out = append(out, name)
 		}
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
-}
-
-// sortStrings is a dependency-free insertion sort; breaker sets are small.
-func sortStrings(a []string) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

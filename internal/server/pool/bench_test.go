@@ -138,17 +138,17 @@ func BenchmarkVMAPermCheck(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	v := tab.NewVMA(ExecutorPD, []byte("x"), vmatable.PermRW)
+	v := tab.NewVMA(vmatable.ExecutorPD, []byte("x"), vmatable.PermRW)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := v.Pmove(ExecutorPD, pd, vmatable.PermRW); err != nil {
+		if err := v.Pmove(vmatable.ExecutorPD, pd, vmatable.PermRW); err != nil {
 			b.Fatal(err)
 		}
 		if err := v.Check(pd, vmatable.PermR); err != nil {
 			b.Fatal(err)
 		}
-		if err := v.Pmove(pd, ExecutorPD, vmatable.PermRW); err != nil {
+		if err := v.Pmove(pd, vmatable.ExecutorPD, vmatable.PermRW); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,11 +166,11 @@ func BenchmarkVMALifecycle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		v := tab.NewVMA(ExecutorPD, payload, vmatable.PermRW)
-		if err := v.Pmove(ExecutorPD, pd, vmatable.PermRW); err != nil {
+		v := tab.NewVMA(vmatable.ExecutorPD, payload, vmatable.PermRW)
+		if err := v.Pmove(vmatable.ExecutorPD, pd, vmatable.PermRW); err != nil {
 			b.Fatal(err)
 		}
-		if err := v.Pmove(pd, ExecutorPD, vmatable.PermRW); err != nil {
+		if err := v.Pmove(pd, vmatable.ExecutorPD, vmatable.PermRW); err != nil {
 			b.Fatal(err)
 		}
 		if err := tab.Cput(pd); err != nil {

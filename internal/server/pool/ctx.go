@@ -146,7 +146,7 @@ func (c *Ctx) Async(fn string, payload []byte) (router.Cookie, error) {
 	// Allocate the child's ArgBuf in the caller's PD and hand it to the
 	// runtime (pmove), exactly as core.Ctx.submit stages nested calls.
 	buf := p.tab.NewVMA(cont.pd, payload, vmatable.PermRW)
-	if err := buf.Pmove(cont.pd, ExecutorPD, vmatable.PermRW); err != nil {
+	if err := buf.Pmove(cont.pd, vmatable.ExecutorPD, vmatable.PermRW); err != nil {
 		putVMA(buf)
 		return 0, err
 	}
@@ -255,7 +255,7 @@ func (c *Ctx) Wait(ck router.Cookie) ([]byte, error) {
 	// in place — zero-copy, like the simulator's collect path. Once read,
 	// the child request and ArgBuf structure recycle; the returned bytes
 	// stay valid (see VMA.Read).
-	if err := child.buf.Pmove(ExecutorPD, cont.pd, vmatable.PermRW); err != nil {
+	if err := child.buf.Pmove(vmatable.ExecutorPD, cont.pd, vmatable.PermRW); err != nil {
 		c.pool.putRequest(child)
 		return nil, err
 	}

@@ -244,7 +244,7 @@ func (e *executor) startInvocation(r *request) {
 	// --- Initialize PD (Figure 4): the function's code VMA is global RX
 	// (every PD may execute it — the Fig. 8 G bit), so only the ArgBuf
 	// ownership transfer remains per-invocation. ---
-	if err := r.buf.Pmove(ExecutorPD, pd, vmatable.PermRW); err != nil {
+	if err := r.buf.Pmove(vmatable.ExecutorPD, pd, vmatable.PermRW); err != nil {
 		_ = p.tab.cputCached(pd, e.pds)
 		p.putCont(c)
 		p.finish(e.id, r, err)
@@ -316,7 +316,7 @@ func (e *executor) finishInvocation(c *continuation) {
 	// Transfer the ArgBuf (now holding outputs) back to the runtime
 	// domain and destroy the PD. The code region is global (G bit), so
 	// there is no per-invocation grant to revoke.
-	if err := r.buf.Pmove(c.pd, ExecutorPD, vmatable.PermRW); err != nil && ferr == nil {
+	if err := r.buf.Pmove(c.pd, vmatable.ExecutorPD, vmatable.PermRW); err != nil && ferr == nil {
 		ferr = err
 	}
 	// Force-release state handles the body left held — un-Released read

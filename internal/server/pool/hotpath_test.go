@@ -139,9 +139,9 @@ func TestInternalGetsDrainReserve(t *testing.T) {
 // TestVMAOverflowSharers drives a VMA's sharer count past the inline VTE
 // sub-array so permissions spill into (and retract from) the overflow list.
 func TestVMAOverflowSharers(t *testing.T) {
-	const sharers = nvte + 12
+	const sharers = vmatable.SubEntries + 12
 	tab := NewTable(sharers + 4)
-	v := tab.NewVMA(ExecutorPD, []byte("shared"), vmatable.PermRW)
+	v := tab.NewVMA(vmatable.ExecutorPD, []byte("shared"), vmatable.PermRW)
 
 	pds := make([]PDID, sharers)
 	for i := range pds {
@@ -150,12 +150,12 @@ func TestVMAOverflowSharers(t *testing.T) {
 			t.Fatal(err)
 		}
 		pds[i] = pd
-		if err := v.Pcopy(ExecutorPD, pd, vmatable.PermR); err != nil {
+		if err := v.Pcopy(vmatable.ExecutorPD, pd, vmatable.PermR); err != nil {
 			t.Fatalf("pcopy to sharer %d: %v", i, err)
 		}
 	}
-	if got := len(v.over); got == 0 {
-		t.Fatalf("expected overflow entries past %d inline slots", nvte)
+	if got := len(v.perms.Overflow); got == 0 {
+		t.Fatalf("expected overflow entries past %d inline slots", vmatable.SubEntries)
 	}
 
 	// Every sharer — inline or overflow — can read; none can write.
@@ -169,9 +169,9 @@ func TestVMAOverflowSharers(t *testing.T) {
 	}
 
 	// Revoke every other sharer (hitting both inline zeroing and overflow
-	// swap-remove), then verify revoked PDs fault and survivors still read.
+	// removal), then verify revoked PDs fault and survivors still read.
 	for i := 0; i < sharers; i += 2 {
-		if err := v.Pmove(pds[i], ExecutorPD, vmatable.PermR); err != nil {
+		if err := v.Pmove(pds[i], vmatable.ExecutorPD, vmatable.PermR); err != nil {
 			t.Fatalf("revoke sharer %d: %v", i, err)
 		}
 	}
@@ -186,48 +186,8 @@ func TestVMAOverflowSharers(t *testing.T) {
 	}
 
 	// The owner's write permission was untouched throughout.
-	if err := v.Write(ExecutorPD, []byte("updated")); err != nil {
+	if err := v.Write(vmatable.ExecutorPD, []byte("updated")); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestVMAAppendInPlace covers the Append fast path and its documented
-// aliasing contract: a Read taken before an Append is a snapshot of the
-// earlier length.
-func TestVMAAppendInPlace(t *testing.T) {
-	tab := NewTable(4)
-	pd, err := tab.Cget()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := tab.NewVMA(pd, nil, vmatable.PermRW)
-
-	before, err := v.Read(pd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Append(pd, []byte("hello ")...); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Append(pd, []byte("world")...); err != nil {
-		t.Fatal(err)
-	}
-	got, err := v.Read(pd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "hello world" {
-		t.Fatalf("after append: %q", got)
-	}
-	if len(before) != 0 {
-		t.Fatalf("pre-append alias grew: %q", before)
-	}
-	other, err := tab.Cget()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Append(other, 'x'); err == nil {
-		t.Fatal("append without PermW should fault")
 	}
 }
 

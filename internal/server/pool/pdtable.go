@@ -13,14 +13,15 @@
 //     loop, so executors never block on children.
 //   - Per-invocation ArgBufs are VMAs whose ownership moves between
 //     protection domains with pmove/pcopy, enforced by software permission
-//     checks that mirror internal/privlib's security policy.
+//     checks on the same permission record internal/privlib's VTEs use.
 //
 // Where the simulator charges modelled latencies for these operations, the
 // live path pays their real cost, so the hot path is engineered like the
 // paper engineers its hardware: PD allocation runs through per-executor
 // free-list caches over a sharded global pool (the live analogue of
-// PrivLib's per-core free lists), VMA permissions live in a fixed inline
-// sub-array with an overflow list (the Fig. 8 VTE layout), continuations
+// PrivLib's per-core free lists), VMA permissions live in vmatable's
+// permission record — the simulator's own VTE code, a fixed inline
+// sub-array with an overflow list (the Fig. 8 layout) — continuations
 // run on recycled parked goroutines, and per-function statistics shard per
 // executor. The semantics — who may touch what, in which domain, in what
 // order — are unchanged.
@@ -41,11 +42,6 @@ type (
 	PDID = vmatable.PDID
 	Perm = vmatable.Perm
 )
-
-// ExecutorPD is the protection domain of trusted runtime code
-// (orchestrators, executors, the gateway) — the live analogue of
-// privlib.ExecutorPD.
-const ExecutorPD PDID = 0
 
 // Fault is an isolation violation on the live path: a PD touched a VMA it
 // holds no (sufficient) permission for, or misused the PD lifecycle. It
@@ -136,7 +132,7 @@ type Table struct {
 	faults       atomic.Uint64
 }
 
-// NewTable creates a PD space with IDs 1..numPDs (0 is ExecutorPD).
+// NewTable creates a PD space with IDs 1..numPDs (0 is vmatable.ExecutorPD).
 func NewTable(numPDs int) *Table {
 	if numPDs < 1 {
 		numPDs = 1
@@ -159,7 +155,7 @@ func NewTable(numPDs int) *Table {
 		live:   make([]atomic.Bool, numPDs+1),
 		numPDs: numPDs,
 	}
-	t.live[ExecutorPD].Store(true)
+	t.live[vmatable.ExecutorPD].Store(true)
 	for id := numPDs; id >= 1; id-- {
 		s := &t.shards[(id-1)%ns]
 		s.free = append(s.free, PDID(id))
@@ -408,7 +404,7 @@ func (t *Table) cget(reserve int, cache *pdCache) (PDID, error) {
 			// refusal is ordinary backpressure.
 			t.faults.Add(1)
 		}
-		return 0, &Fault{Op: "cget", PD: ExecutorPD, Detail: "protection domain space exhausted"}
+		return 0, &Fault{Op: "cget", PD: vmatable.ExecutorPD, Detail: "protection domain space exhausted"}
 	}
 	pd := t.takeID(cache)
 	t.live[pd].Store(true)
@@ -424,7 +420,7 @@ func (t *Table) Cput(pd PDID) error { return t.cput(pd, nil) }
 func (t *Table) cputCached(pd PDID, cache *pdCache) error { return t.cput(pd, cache) }
 
 func (t *Table) cput(pd PDID, cache *pdCache) error {
-	if pd == ExecutorPD || int(pd) > t.numPDs || !t.live[pd].CompareAndSwap(true, false) {
+	if pd == vmatable.ExecutorPD || int(pd) > t.numPDs || !t.live[pd].CompareAndSwap(true, false) {
 		t.faults.Add(1)
 		return &Fault{Op: "cput", PD: pd, Detail: "not a live user protection domain"}
 	}
@@ -519,7 +515,7 @@ func (t *Table) VerifyIdle() error {
 	count := 0
 	note := func(where string, ids []PDID) error {
 		for _, pd := range ids {
-			if pd == ExecutorPD || int(pd) > t.numPDs {
+			if pd == vmatable.ExecutorPD || int(pd) > t.numPDs {
 				return fmt.Errorf("pdtable: invalid PD %d on %s free list", pd, where)
 			}
 			if seen[pd] {

@@ -17,7 +17,7 @@ func TestCgetCputLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a == b || a == ExecutorPD || b == ExecutorPD {
+	if a == b || a == vmatable.ExecutorPD || b == vmatable.ExecutorPD {
 		t.Fatalf("bad PD ids %d %d", a, b)
 	}
 	if tab.HasFree() {
@@ -37,8 +37,8 @@ func TestCgetCputLifecycle(t *testing.T) {
 		t.Fatal("double cput should fault")
 	}
 	// The runtime domain is not destroyable.
-	if err := tab.Cput(ExecutorPD); err == nil {
-		t.Fatal("cput of ExecutorPD should fault")
+	if err := tab.Cput(vmatable.ExecutorPD); err == nil {
+		t.Fatal("cput of vmatable.ExecutorPD should fault")
 	}
 	if tab.Faults() == 0 {
 		t.Fatal("faults should be counted")
@@ -83,16 +83,16 @@ func TestPmoveTransfersOwnership(t *testing.T) {
 func TestPcopyKeepsSource(t *testing.T) {
 	tab := NewTable(4)
 	pd, _ := tab.Cget()
-	code := tab.NewVMA(ExecutorPD, nil, vmatable.PermRX)
+	code := tab.NewVMA(vmatable.ExecutorPD, nil, vmatable.PermRX)
 
-	if err := code.Pcopy(ExecutorPD, pd, vmatable.PermRX); err != nil {
+	if err := code.Pcopy(vmatable.ExecutorPD, pd, vmatable.PermRX); err != nil {
 		t.Fatal(err)
 	}
 	// Both domains hold the grant now.
 	if err := code.Check(pd, vmatable.PermRX); err != nil {
 		t.Fatal(err)
 	}
-	if err := code.Check(ExecutorPD, vmatable.PermRX); err != nil {
+	if err := code.Check(vmatable.ExecutorPD, vmatable.PermRX); err != nil {
 		t.Fatal(err)
 	}
 	// A read-only grant cannot be escalated through pcopy.
@@ -100,7 +100,7 @@ func TestPcopyKeepsSource(t *testing.T) {
 		t.Fatal("pcopy escalating RX to W should fault")
 	}
 	// Revocation: pmove the copy back onto the retained grant.
-	if err := code.Pmove(pd, ExecutorPD, vmatable.PermRX); err != nil {
+	if err := code.Pmove(pd, vmatable.ExecutorPD, vmatable.PermRX); err != nil {
 		t.Fatal(err)
 	}
 	if err := code.Check(pd, vmatable.PermRX); err == nil {

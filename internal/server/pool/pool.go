@@ -711,7 +711,7 @@ func (p *Pool) submit(def *router.Func, payload []byte, deadline time.Time, sp *
 	// domain (§3.3: "orchestrators save these requests into ArgBufs").
 	r := p.getRequest()
 	r.fn = def
-	r.buf = p.tab.NewVMA(ExecutorPD, payload, vmatable.PermRW)
+	r.buf = p.tab.NewVMA(vmatable.ExecutorPD, payload, vmatable.PermRW)
 	r.external = true
 	r.deadline = deadline
 	if tr := p.tr; tr != nil {
@@ -786,7 +786,7 @@ func (p *Pool) Invoke(ctx context.Context, fn string, payload []byte) ([]byte, e
 		// The executor pmoved the result ArgBuf back to the runtime
 		// domain; read it from there. The returned slice stays valid
 		// after the VMA structure recycles (see VMA.Read).
-		b, err := r.buf.Read(ExecutorPD)
+		b, err := r.buf.Read(vmatable.ExecutorPD)
 		p.releaseRequest(r)
 		return b, err
 	case <-ctx.Done():
@@ -838,7 +838,7 @@ func (p *Pool) InvokeTimed(def *router.Func, payload []byte, deadline time.Time,
 			p.releaseRequest(r)
 			return nil, false, err
 		}
-		b, err := r.buf.Read(ExecutorPD)
+		b, err := r.buf.Read(vmatable.ExecutorPD)
 		p.releaseRequest(r)
 		return b, false, err
 	case <-expired:

@@ -7,41 +7,22 @@ import (
 	"jord/internal/mem/vmatable"
 )
 
-// nvte is the size of the inline per-PD permission sub-array — the same 20
-// entries the paper's VTE carries in its cache block (Fig. 8, §4.3).
-const nvte = vmatable.SubEntries
-
-// pdPerm is one inline (or overflow) permission slot.
-type pdPerm struct {
-	pd   PDID
-	perm Perm
-	used bool // a slot revoked to PermNone is distinguishable from free
-}
-
 // VMA is a live in-address-space buffer with per-PD permissions — the live
-// analogue of a simulated VMA plus its VTE permission sub-array (Fig. 8).
-// ArgBufs, function code regions, and scratch buffers are all VMAs. Every
-// read, write, and permission transfer is checked against the caller's
-// protection domain, so a function touching a buffer it does not own
-// faults exactly as it would under the paper's hardware checks.
+// analogue of a simulated VMA and its VTE. ArgBufs, function code regions,
+// and scratch buffers are all VMAs. Every read, write, and permission
+// transfer is checked against the caller's protection domain, so a
+// function touching a buffer it does not own faults exactly as it would
+// under the paper's hardware checks.
 //
-// Permissions live in a fixed inline array searched linearly, spilling
-// into a rarely-used overflow list past nvte sharers — the VTE layout —
-// instead of a per-VMA heap map. An ArgBuf has at most two sharers over
-// its whole life, so its permission traffic never leaves the first slots
-// and never allocates.
+// Permissions live in vmatable's permission record (Fig. 8) — the same
+// inline sub-array, overflow list, and G bit the simulator's VTEs use,
+// guarded by mu. An ArgBuf has at most two sharers over its whole life, so
+// its permission traffic never leaves the first slots and never allocates.
 type VMA struct {
 	table *Table
 	mu    sync.Mutex
-	sub   [nvte]pdPerm
-	over  []pdPerm // overflow list (VTE ptr field) beyond nvte sharers
-
-	// global, when nonzero, grants this permission to every PD — the VTE
-	// G bit. Function code regions are global RX: every invocation PD may
-	// execute them without a per-invocation pcopy/pmove pair.
-	global Perm
-
-	data []byte
+	perms vmatable.Perms
+	data  []byte
 }
 
 // NewVMA allocates a buffer owned by pd with the given permission
@@ -51,39 +32,28 @@ func (t *Table) NewVMA(owner PDID, data []byte, perm Perm) *VMA {
 	v := vmaPool.Get().(*VMA)
 	v.table = t
 	v.data = data
-	v.sub[0] = pdPerm{pd: owner, perm: perm, used: true}
+	v.perms.SetPerm(owner, perm)
 	return v
 }
 
 // NewGlobalVMA allocates a buffer every PD holds perm on (the VTE G bit) —
-// used for function code regions, which all invocation domains execute.
+// used for function code regions, which all invocation domains execute
+// without a per-invocation pcopy/pmove pair.
 func (t *Table) NewGlobalVMA(data []byte, perm Perm) *VMA {
 	v := vmaPool.Get().(*VMA)
 	v.table = t
 	v.data = data
-	v.global = perm
+	v.perms.Global = perm
 	return v
-}
-
-// Global reports the VMA's G-bit permission (PermNone when not global).
-func (v *VMA) Global() Perm {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.global
 }
 
 var vmaPool = sync.Pool{New: func() any { return new(VMA) }}
 
 // putVMA recycles a VMA structure once no PD references it anymore. The
 // data slice is dropped, not reused — readers may still alias it (the
-// zero-copy Read contract); only the structure and its permission arrays
-// recycle.
+// zero-copy Read contract).
 func putVMA(v *VMA) {
-	v.table = nil
-	v.data = nil
-	v.global = 0
-	v.sub = [nvte]pdPerm{}
-	v.over = v.over[:0]
+	*v = VMA{}
 	vmaPool.Put(v)
 }
 
@@ -94,31 +64,16 @@ func putVMA(v *VMA) {
 // reuses a data slice).
 func (v *VMA) Free(owner PDID) error {
 	v.mu.Lock()
-	if v.global != 0 {
+	if v.perms.Global != vmatable.PermNone {
 		err := v.table.fault(&Fault{Op: "free", PD: owner,
-			Detail: fmt.Sprintf("VMA still global %v", v.global)})
+			Detail: fmt.Sprintf("VMA still global %v", v.perms.Global)})
 		v.mu.Unlock()
 		return err
 	}
-	sharers := 0
-	ownerHeld := false
-	for i := range v.sub {
-		if v.sub[i].used {
-			sharers++
-			if v.sub[i].pd == owner {
-				ownerHeld = true
-			}
-		}
-	}
-	for i := range v.over {
-		sharers++
-		if v.over[i].pd == owner {
-			ownerHeld = true
-		}
-	}
-	if !ownerHeld || sharers != 1 {
+	_, owned := v.perms.Own(owner)
+	if sharers := v.perms.NumSharers(); !owned || sharers != 1 {
 		err := v.table.fault(&Fault{Op: "free", PD: owner,
-			Detail: fmt.Sprintf("%d sharers, owner held=%v", sharers, ownerHeld)})
+			Detail: fmt.Sprintf("%d sharers, owner held=%v", sharers, owned)})
 		v.mu.Unlock()
 		return err
 	}
@@ -127,82 +82,15 @@ func (v *VMA) Free(owner PDID) error {
 	return nil
 }
 
-// permFor returns the permission pd holds. Callers hold v.mu.
-func (v *VMA) permFor(pd PDID) Perm {
-	p := v.global
-	for i := range v.sub {
-		if v.sub[i].used && v.sub[i].pd == pd {
-			return p | v.sub[i].perm
-		}
-	}
-	for i := range v.over {
-		if v.over[i].pd == pd {
-			return p | v.over[i].perm
-		}
-	}
-	return p
-}
-
-// orPerm grants pd the given permission bits on top of any it holds,
-// claiming a free inline slot or spilling to the overflow list. Callers
-// hold v.mu.
-func (v *VMA) orPerm(pd PDID, perm Perm) {
-	freeSlot := -1
-	for i := range v.sub {
-		if v.sub[i].used {
-			if v.sub[i].pd == pd {
-				v.sub[i].perm |= perm
-				return
-			}
-		} else if freeSlot < 0 {
-			freeSlot = i
-		}
-	}
-	for i := range v.over {
-		if v.over[i].pd == pd {
-			v.over[i].perm |= perm
-			return
-		}
-	}
-	if freeSlot >= 0 {
-		v.sub[freeSlot] = pdPerm{pd: pd, perm: perm, used: true}
-		return
-	}
-	v.over = append(v.over, pdPerm{pd: pd, perm: perm, used: true})
-}
-
-// clearPerm removes pd's entry entirely. Callers hold v.mu.
-func (v *VMA) clearPerm(pd PDID) {
-	for i := range v.sub {
-		if v.sub[i].used && v.sub[i].pd == pd {
-			v.sub[i] = pdPerm{}
-			return
-		}
-	}
-	for i := range v.over {
-		if v.over[i].pd == pd {
-			last := len(v.over) - 1
-			v.over[i] = v.over[last]
-			v.over[last] = pdPerm{}
-			v.over = v.over[:last]
-			return
-		}
-	}
-}
-
 // Pmove transfers this VMA's permission from one PD to another, removing
 // it from the source (Table 1: pmove — ownership transfer, the zero-copy
 // ArgBuf handoff of §3.4).
 func (v *VMA) Pmove(from, to PDID, perm Perm) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	held := v.permFor(from)
-	if held&perm != perm {
-		return v.table.fault(&Fault{Op: "pmove", PD: from,
-			Detail: fmt.Sprintf("holds %v, cannot transfer %v", held, perm)})
+	if err := v.perms.MovePerm(from, to, perm); err != nil {
+		return v.table.fault(&Fault{Op: "pmove", PD: from, Detail: err.Error()})
 	}
-	v.clearPerm(from)
-	v.orPerm(to, perm)
 	return nil
 }
 
@@ -212,58 +100,35 @@ func (v *VMA) Pmove(from, to PDID, perm Perm) error {
 func (v *VMA) Pcopy(from, to PDID, perm Perm) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	held := v.permFor(from)
-	if held&perm != perm {
-		return v.table.fault(&Fault{Op: "pcopy", PD: from,
-			Detail: fmt.Sprintf("holds %v, cannot grant %v", held, perm)})
+	if err := v.perms.CopyPerm(from, to, perm); err != nil {
+		return v.table.fault(&Fault{Op: "pcopy", PD: from, Detail: err.Error()})
 	}
-	v.orPerm(to, perm)
 	return nil
 }
 
 // PromoteGlobal sets perm in the VMA's G bit, granting it to every PD (the
 // VTE G-bit promotion for hot read-mostly objects: subsequent readers pay
 // no pcopy, no per-PD slot, and no revocation on release). The promoting PD
-// must already hold perm in its own right.
+// must already hold perm.
 func (v *VMA) PromoteGlobal(from PDID, perm Perm) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	held := v.permFor(from)
-	if held&perm != perm {
-		return v.table.fault(&Fault{Op: "promote", PD: from,
-			Detail: fmt.Sprintf("holds %v, cannot promote %v to global", held, perm)})
+	if err := v.perms.PromoteGlobal(from, perm); err != nil {
+		return v.table.fault(&Fault{Op: "promote", PD: from, Detail: err.Error()})
 	}
-	v.global |= perm
 	return nil
 }
 
 // DemoteGlobal clears perm from the VMA's G bit — the revocation a writer
 // performs before mutating a promoted object. Per-PD entries are untouched,
 // so the owner's own grant survives the demotion. The demoting PD must hold
-// perm through a per-PD entry (not merely via the G bit it is revoking).
+// perm through its own entry, not merely via the G bit it is revoking.
 func (v *VMA) DemoteGlobal(from PDID, perm Perm) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	held := vmatable.PermNone
-	for i := range v.sub {
-		if v.sub[i].used && v.sub[i].pd == from {
-			held = v.sub[i].perm
-			break
-		}
+	if err := v.perms.DemoteGlobal(from, perm); err != nil {
+		return v.table.fault(&Fault{Op: "demote", PD: from, Detail: err.Error()})
 	}
-	if held == vmatable.PermNone {
-		for i := range v.over {
-			if v.over[i].pd == from {
-				held = v.over[i].perm
-				break
-			}
-		}
-	}
-	if held&perm != perm {
-		return v.table.fault(&Fault{Op: "demote", PD: from,
-			Detail: fmt.Sprintf("holds %v in its own right, cannot revoke global %v", held, perm)})
-	}
-	v.global &^= perm
 	return nil
 }
 
@@ -276,7 +141,7 @@ func (v *VMA) Check(pd PDID, want Perm) error {
 }
 
 func (v *VMA) check(pd PDID, want Perm) error {
-	if held := v.permFor(pd); held&want != want {
+	if held, _ := v.perms.PermFor(pd); !held.Has(want) {
 		op := "access"
 		switch want {
 		case vmatable.PermR:
@@ -296,9 +161,9 @@ func (v *VMA) check(pd PDID, want Perm) error {
 //
 // Aliasing contract: the returned slice aliases the VMA's storage
 // (zero-copy, like the paper's ArgBufs) — it stays valid for the reader
-// even after the VMA structure is recycled, because Write and Append
-// replace or extend the backing slice rather than mutating shared bytes
-// in place, and recycling never reuses a data slice. Callers must hold
+// even after the VMA structure is recycled, because Write replaces the
+// backing slice rather than mutating shared bytes in place, and recycling
+// never reuses a data slice. Callers must hold
 // the permission for as long as they use the contents.
 func (v *VMA) Read(pd PDID) ([]byte, error) {
 	v.mu.Lock()
@@ -320,22 +185,6 @@ func (v *VMA) Write(pd PDID, data []byte) error {
 		return err
 	}
 	v.data = data
-	return nil
-}
-
-// Append extends the buffer contents in place after a permission check, so
-// echo-style functions can build outputs directly in the ArgBuf instead of
-// allocating a private slice and Write-replacing the whole payload. It
-// grows the existing backing array (amortized), never copies the payload
-// twice. Prior Read aliases may or may not observe appended bytes — treat
-// a Read taken before an Append as a snapshot of the earlier length only.
-func (v *VMA) Append(pd PDID, data ...byte) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if err := v.check(pd, vmatable.PermW); err != nil {
-		return err
-	}
-	v.data = append(v.data, data...)
 	return nil
 }
 

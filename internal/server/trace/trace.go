@@ -19,8 +19,10 @@
 package trace
 
 import (
+	"cmp"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -467,7 +469,7 @@ func (r *Recorder) Incidents() []Incident {
 
 // recentSpans copies the newest k spans across all shards, newest first.
 func (r *Recorder) recentSpans(k int) []Span {
-	var all []Span
+	all := make([]Span, 0, ringCap*len(r.shards))
 	for _, sh := range r.shards {
 		sh.mu.Lock()
 		n := sh.n
@@ -480,22 +482,11 @@ func (r *Recorder) recentSpans(k int) []Span {
 		}
 		sh.mu.Unlock()
 	}
-	sortSpansByEndDesc(all)
+	slices.SortFunc(all, func(a, b Span) int { return cmp.Compare(b.EndNS, a.EndNS) })
 	if len(all) > k {
 		all = all[:k]
 	}
 	return all
-}
-
-// sortSpansByEndDesc orders spans newest-first (insertion sort would be
-// fine at these sizes; use a simple comparison sort without package sort
-// generics noise).
-func sortSpansByEndDesc(s []Span) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].EndNS > s[j-1].EndNS; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // StageHist is one stage's merged latency histogram (export).

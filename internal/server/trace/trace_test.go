@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -160,6 +161,53 @@ func TestFlightRecorderTripAndRateLimit(t *testing.T) {
 	}
 	if len(incs[1].Traces) != 1 {
 		t.Fatalf("breaker incident froze %d traces, want 1", len(incs[1].Traces))
+	}
+}
+
+// fillRings publishes full rings on every shard with EndNS interleaved
+// across shards (span i goes to shard i%shards and ends at i), so the
+// newest spans are spread over all shards.
+func fillRings(r *Recorder, shards int) {
+	for i := 0; i < shards*ringCap; i++ {
+		s := mkSpan(-1, int64(i)-10, int64(i), OutcomeOK)
+		r.Publish(i%shards, &s)
+	}
+}
+
+// TestFlightRecorderNewestAcrossFullRings: an incident over full rings on
+// 32 shards freezes exactly the flightTraces newest spans, newest first.
+func TestFlightRecorderNewestAcrossFullRings(t *testing.T) {
+	const shards = 32
+	r := NewRecorder(shards)
+	fillRings(r, shards)
+	r.Trip("test", "full")
+	incs := r.Incidents()
+	if len(incs) != 1 {
+		t.Fatalf("incidents = %d, want 1", len(incs))
+	}
+	got := incs[0].Traces
+	if len(got) != flightTraces {
+		t.Fatalf("froze %d traces, want %d", len(got), flightTraces)
+	}
+	newest := int64(shards*ringCap - 1)
+	for i, s := range got {
+		if s.EndNS != newest-int64(i) {
+			t.Fatalf("traces[%d].EndNS = %d, want %d", i, s.EndNS, newest-int64(i))
+		}
+	}
+}
+
+// BenchmarkRecentSpans times the flight recorder's capture over full rings,
+// the work Trip does under flightMu.
+func BenchmarkRecentSpans(b *testing.B) {
+	for _, shards := range []int{2, 8, 32} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			r := NewRecorder(shards)
+			fillRings(r, shards)
+			for b.Loop() {
+				r.recentSpans(flightTraces)
+			}
+		})
 	}
 }
 

@@ -179,7 +179,7 @@ func (s *Subsystem) Access(core topo.CoreID, pd vmatable.PDID, addr uint64, need
 	if vte.Priv && !privileged {
 		return lat, vmatable.FaultPrivilege
 	}
-	perm, held, _ := vte.PermFor(pd)
+	perm, held := vte.PermFor(pd)
 	if !held || !perm.Has(need) {
 		return lat, vmatable.FaultPermission
 	}

@@ -88,7 +88,7 @@ func TestAccessPermissionChecks(t *testing.T) {
 func TestPrivilegedVMAProtection(t *testing.T) {
 	s := newSubsystem(t)
 	// A privileged VMA (e.g., the VMA table itself or PrivLib's heap).
-	vte := &vmatable.VTE{Bound: 4096, Priv: true, Global: true, GlobalPerm: vmatable.PermRW}
+	vte := &vmatable.VTE{Bound: 4096, Priv: true, Perms: vmatable.Perms{Global: vmatable.PermRW}}
 	if err := s.Table.Insert(5, 1, vte); err != nil {
 		t.Fatal(err)
 	}
