@@ -3,6 +3,7 @@ package experiments
 import "testing"
 
 func TestDispatchAblationOrdering(t *testing.T) {
+	t.Parallel()
 	r, err := RunDispatchAblation(tiny, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -31,6 +32,7 @@ func TestDispatchAblationOrdering(t *testing.T) {
 }
 
 func TestMPKComparisonReproducesSection22(t *testing.T) {
+	t.Parallel()
 	r, err := RunMPKComparison(tiny, 1)
 	if err != nil {
 		t.Fatal(err)

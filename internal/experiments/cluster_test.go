@@ -3,6 +3,7 @@ package experiments
 import "testing"
 
 func TestClusterScalingShape(t *testing.T) {
+	t.Parallel()
 	r, err := RunCluster(tiny, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package experiments
 import "testing"
 
 func TestSampledPointTightensWithTrials(t *testing.T) {
+	t.Parallel()
 	p, err := RunSampledPoint(Jord, "hotel", 2e6, tiny, 5, 100)
 	if err != nil {
 		t.Fatal(err)
