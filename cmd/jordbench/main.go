@@ -63,49 +63,56 @@ import (
 	"strconv"
 	"strings"
 
-	"jord"
 	"jord/internal/cliutil"
 	"jord/internal/experiments"
 )
 
-// runSampled measures each load point over several independent seeds and
-// prints means with 95% confidence intervals.
-func runSampled(workload, system, loads string, warmup, measure, seed uint64, trials int) {
-	kind, err := parseSystem(system)
-	if err != nil {
-		log.Fatal(err)
+// systems maps -system names to the simulated systems under test.
+var systems = map[string]experiments.SystemKind{
+	"jord":      experiments.Jord,
+	"jordni":    experiments.JordNI,
+	"jordbt":    experiments.JordBT,
+	"nightcore": experiments.NightCore,
+}
+
+// runSim measures each offered load (MRPS) on the simulator and prints a
+// TSV row per point: one run's latency percentiles and overheads, or with
+// trials > 1 the means and 95% CIs over seeds seed, seed+1, ...
+func runSim(workload, system, loads string, sc experiments.Scale, seed uint64, trials int) error {
+	if trials > 1 {
+		fmt.Println("workload\tsystem\tload_mrps\ttrials\tp99_us\tp99_ci_us\tmeasured_mrps\tmeasured_ci")
+	} else {
+		fmt.Println("workload\tsystem\tload_mrps\tmeasured_mrps\tp50_us\tp99_us\tp999_us\tmean_service_us\toverhead_frac")
 	}
-	sc := experiments.Scale{Name: "bench", Warmup: warmup, Measure: measure, MaxPoints: 1}
-	fmt.Println("workload\tsystem\tload_mrps\ttrials\tp99_us\tp99_ci_us\tmeasured_mrps\tmeasured_ci")
 	for _, tok := range strings.Split(loads, ",") {
 		mrps, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
 		if err != nil {
-			log.Fatalf("bad load %q: %v", tok, err)
+			return fmt.Errorf("bad load %q: %v", tok, err)
 		}
-		p, err := experiments.RunSampledPoint(kind, workload, mrps*1e6, sc, trials, seed)
+		if trials > 1 {
+			p, err := experiments.RunSampledPoint(systems[system], workload, mrps*1e6, sc, trials, seed)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%s\t%s\t%.3f\t%d\t%.2f\t%.2f\t%.3f\t%.3f\n",
+				workload, system, mrps, trials,
+				p.P99NS.Mean/1000, p.P99NS.CI95/1000,
+				p.TputMRPS.Mean, p.TputMRPS.CI95)
+			continue
+		}
+		res, freq, err := experiments.RunPoint(systems[system], workload, mrps*1e6, sc, seed)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%s\t%s\t%.3f\t%d\t%.2f\t%.2f\t%.3f\t%.3f\n",
-			workload, system, mrps, trials,
-			p.P99NS.Mean/1000, p.P99NS.CI95/1000,
-			p.TputMRPS.Mean, p.TputMRPS.CI95)
+		fmt.Printf("%s\t%s\t%.3f\t%.3f\t%.2f\t%.2f\t%.2f\t%.2f\t%.3f\n",
+			workload, system, mrps, res.MeasuredRPS(freq)/1e6,
+			float64(res.Latency.Percentile(50))/1000,
+			float64(res.Latency.Percentile(99))/1000,
+			float64(res.Latency.Percentile(99.9))/1000,
+			res.MeanServiceNS()/1000,
+			res.OverheadFraction())
 	}
-}
-
-func parseSystem(name string) (experiments.SystemKind, error) {
-	switch name {
-	case "jord":
-		return experiments.Jord, nil
-	case "jordni":
-		return experiments.JordNI, nil
-	case "jordbt":
-		return experiments.JordBT, nil
-	case "nightcore":
-		return experiments.NightCore, nil
-	default:
-		return 0, fmt.Errorf("unknown system %q", name)
-	}
+	return nil
 }
 
 // modeDefaults holds the live modes' values for the flags a run leaves
@@ -133,54 +140,6 @@ func parseCounts(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-// runSweep runs the simulator once per offered load and prints a TSV row
-// per point.
-func runSweep(workload, system, loads string, warmup, measure, seed uint64) {
-	fmt.Println("workload\tsystem\tload_mrps\tmeasured_mrps\tp50_us\tp99_us\tp999_us\tmean_service_us\toverhead_frac")
-	for _, tok := range strings.Split(loads, ",") {
-		mrps, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
-		if err != nil {
-			log.Fatalf("bad load %q: %v", tok, err)
-		}
-		cfg := jord.DefaultConfig()
-		cfg.Seed = seed
-		switch system {
-		case "jord":
-			cfg.Variant = jord.VariantPlainList
-		case "jordni":
-			cfg.Variant = jord.VariantNoIsolation
-		case "jordbt":
-			cfg.Variant = jord.VariantBTree
-		case "nightcore":
-			cfg.NightCore = true
-		default:
-			log.Fatalf("unknown system %q", system)
-		}
-		sys, err := jord.NewSystem(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		w, err := jord.BuildWorkload(workload, sys, seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res := sys.RunLoad(jord.LoadSpec{
-			RPS:     mrps * 1e6,
-			Warmup:  warmup,
-			Measure: measure,
-			Root:    w.Selector(),
-		})
-		freq := sys.M.Cfg.FreqGHz
-		fmt.Printf("%s\t%s\t%.3f\t%.3f\t%.2f\t%.2f\t%.2f\t%.2f\t%.3f\n",
-			workload, system, mrps, res.MeasuredRPS(freq)/1e6,
-			float64(res.Latency.Percentile(50))/1000,
-			float64(res.Latency.Percentile(99))/1000,
-			float64(res.Latency.Percentile(99.9))/1000,
-			res.MeanServiceNS()/1000,
-			res.OverheadFraction())
-	}
 }
 
 func main() {
@@ -211,10 +170,9 @@ func main() {
 	}
 
 	if mode.Value() == "sim" {
-		if *trials > 1 {
-			runSampled(workload.Value(), system.Value(), *loads, *warmup, *measure, *seed, *trials)
-		} else {
-			runSweep(workload.Value(), system.Value(), *loads, *warmup, *measure, *seed)
+		sc := experiments.Scale{Name: "bench", Warmup: *warmup, Measure: *measure}
+		if err := runSim(workload.Value(), system.Value(), *loads, sc, *seed, *trials); err != nil {
+			log.Fatal(err)
 		}
 		return
 	}

@@ -7,9 +7,6 @@ import (
 	"jord/internal/core"
 	"jord/internal/metrics"
 	"jord/internal/privlib"
-	"jord/internal/sim/topo"
-	"jord/internal/vlb"
-	"jord/internal/workloads"
 )
 
 // DispatchRow is one dispatch policy's result.
@@ -31,47 +28,26 @@ type DispatchAblationResult struct {
 // RunDispatchAblation sweeps each policy over the Hotel load grid.
 func RunDispatchAblation(sc Scale, seed uint64) (*DispatchAblationResult, error) {
 	const wl = "hotel"
-	machine := topo.QFlex32()
-	vcfg := vlb.DefaultConfig()
-	slo, err := sloFor(wl, machine, vcfg, sc, seed)
+	slo, err := sloFor(wl, seed)
 	if err != nil {
 		return nil, err
 	}
 	res := &DispatchAblationResult{Workload: wl, SLONS: slo}
-	grid := downsample(fig9Grid[wl], sc.MaxPoints)
-	policies := []core.DispatchPolicy{
+	grid := sc.grid(wl)
+	for _, policy := range []core.DispatchPolicy{
 		core.DispatchJBSQ, core.DispatchJSQ, core.DispatchRoundRobin, core.DispatchRandom,
-	}
-	for _, policy := range policies {
-		var points []metrics.LoadPoint
-		var midP99 float64
-		for i, rps := range grid {
-			cfg := buildConfig(Jord, machine, vcfg, seed)
-			cfg.Dispatch = policy
-			sys, err := core.NewSystem(cfg)
-			if err != nil {
-				return nil, err
-			}
-			w, err := workloads.Build(wl, sys, seed)
-			if err != nil {
-				return nil, err
-			}
-			r := sys.RunLoad(core.LoadSpec{
-				RPS: rps, Warmup: sc.Warmup, Measure: sc.Measure, Root: w.Selector(),
-			})
-			points = append(points, metrics.LoadPoint{LoadRPS: rps, P99NS: r.P99LatencyNS()})
-			if i == len(grid)/2 {
-				midP99 = r.P99LatencyNS()
-			}
-			if r.P99LatencyNS() > 4*slo {
-				break
-			}
+	} {
+		cfg := config(Jord, seed)
+		cfg.Dispatch = policy
+		points, err := sweep(cfg, wl, grid, slo, sc.load(0), nil)
+		if err != nil {
+			return nil, fmt.Errorf("dispatch %v: %w", policy, err)
 		}
-		res.Rows = append(res.Rows, DispatchRow{
-			Policy:       policy,
-			TputUnderSLO: metrics.ThroughputUnderSLO(points, slo),
-			P99AtMidNS:   midP99,
-		})
+		row := DispatchRow{Policy: policy, TputUnderSLO: metrics.ThroughputUnderSLO(points, slo)}
+		if mid := len(grid) / 2; mid < len(points) {
+			row.P99AtMidNS = points[mid].P99NS
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
@@ -92,7 +68,7 @@ func (r *DispatchAblationResult) Render() string {
 type MPKRow struct {
 	System       string
 	TputUnderSLO float64
-	P99AtLowNS   float64
+	P99AtLowNS   float64 // at the 0.1 MRPS probe; 0 when Deadlocked
 	// Deadlocked marks a configuration that could not finish even the
 	// lightest load (MPK's 15 keys all held by suspended parents of
 	// nested calls).
@@ -113,72 +89,42 @@ type MPKComparisonResult struct {
 // RunMPKComparison sweeps Jord, MPK, and JordNI on Hotel.
 func RunMPKComparison(sc Scale, seed uint64) (*MPKComparisonResult, error) {
 	const wl = "hotel"
-	machine := topo.QFlex32()
-	vcfg := vlb.DefaultConfig()
-	slo, err := sloFor(wl, machine, vcfg, sc, seed)
+	slo, err := sloFor(wl, seed)
 	if err != nil {
 		return nil, err
 	}
 	res := &MPKComparisonResult{Workload: wl, SLONS: slo}
-	grid := downsample(fig9Grid[wl], sc.MaxPoints)
-	variants := []struct {
-		name      string
-		variant   privlib.Variant
-		idealKeys bool
+	// A dedicated very-light probe (0.1 MRPS) for the latency column:
+	// MPK saturates below Hotel's lightest grid point.
+	grid := append([]float64{0.1e6}, sc.grid(wl)...)
+	spec := sc.load(0)
+	spec.MaxVirtualSeconds = 0.5 // MPK can crawl or deadlock; bound each run
+	unlimitedKeys := func(sys *core.System) { sys.Lib.MPKKeyLimit = 1 << 20 }
+	for _, v := range []struct {
+		name    string
+		variant privlib.Variant
+		tune    func(*core.System)
 	}{
-		{"JordNI", privlib.NoIsolation, false},
-		{"Jord", privlib.PlainList, false},
-		{"MPK-15keys", privlib.MPK, false},
-		{"MPK-ideal", privlib.MPK, true}, // unlimited keys: isolates the OS-allocation cost
-	}
-	for _, v := range variants {
-		var points []metrics.LoadPoint
-		var lowP99 float64
-		deadlocked := false
-		// A dedicated very-light probe (0.1 MRPS) for the latency column:
-		// MPK saturates below Hotel's lightest grid point.
-		probeGrid := append([]float64{0.1e6}, grid...)
-		for i, rps := range probeGrid {
-			cfg := buildConfig(Jord, machine, vcfg, seed)
-			cfg.Variant = v.variant
-			sys, err := core.NewSystem(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if v.idealKeys {
-				sys.Lib.MPKKeyLimit = 1 << 20
-			}
-			w, err := workloads.Build(wl, sys, seed)
-			if err != nil {
-				return nil, err
-			}
-			r := sys.RunLoad(core.LoadSpec{
-				RPS: rps, Warmup: sc.Warmup, Measure: sc.Measure, Root: w.Selector(),
-				MaxVirtualSeconds: 0.5, // MPK can crawl or deadlock; bound the run
-			})
-			if i == 0 {
-				lowP99 = r.P99LatencyNS()
-			}
-			if r.Completed < sc.Measure {
-				// The run hit the virtual-time cap: effectively zero
-				// throughput at this load.
-				points = append(points, metrics.LoadPoint{LoadRPS: rps, P99NS: 1e12})
-				if i == 0 {
-					deadlocked = true
-				}
-				break
-			}
-			points = append(points, metrics.LoadPoint{LoadRPS: rps, P99NS: r.P99LatencyNS()})
-			if r.P99LatencyNS() > 4*slo {
-				break
-			}
+		{"JordNI", privlib.NoIsolation, nil},
+		{"Jord", privlib.PlainList, nil},
+		{"MPK-15keys", privlib.MPK, nil},
+		{"MPK-ideal", privlib.MPK, unlimitedKeys}, // isolates the OS-allocation cost
+	} {
+		cfg := config(Jord, seed)
+		cfg.Variant = v.variant
+		points, err := sweep(cfg, wl, grid, slo, spec, v.tune)
+		if err != nil {
+			return nil, fmt.Errorf("mpk %s: %w", v.name, err)
 		}
-		res.Rows = append(res.Rows, MPKRow{
+		row := MPKRow{
 			System:       v.name,
 			TputUnderSLO: metrics.ThroughputUnderSLO(points, slo),
-			P99AtLowNS:   lowP99,
-			Deadlocked:   deadlocked,
-		})
+			Deadlocked:   points[0].P99NS == stalledP99NS,
+		}
+		if !row.Deadlocked {
+			row.P99AtLowNS = points[0].P99NS
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }

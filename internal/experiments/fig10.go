@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"jord/internal/metrics"
-	"jord/internal/sim/topo"
-	"jord/internal/vlb"
 )
 
 // Fig10Result reproduces Figure 10: the CDF of function service time on
@@ -28,12 +26,9 @@ type Fig10Workload struct {
 
 // RunFig10 measures service-time CDFs at light load.
 func RunFig10(sc Scale, seed uint64) (*Fig10Result, error) {
-	machine := topo.QFlex32()
-	vcfg := vlb.DefaultConfig()
 	res := &Fig10Result{}
 	for _, wl := range []string{"hipster", "hotel", "media", "social"} {
-		lightLoad := fig9Grid[wl][0] / 2
-		r, _, err := runPoint(Jord, machine, vcfg, wl, lightLoad, sc, seed)
+		r, _, err := RunPoint(Jord, wl, fig9Grid[wl][0]/2, sc, seed)
 		if err != nil {
 			return nil, fmt.Errorf("fig10 %s: %w", wl, err)
 		}

@@ -3,10 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"jord/internal/core"
-	"jord/internal/sim/topo"
-	"jord/internal/vlb"
 )
 
 // Fig11Bar is one selected function's service-time breakdown on one
@@ -37,68 +33,50 @@ var selectedOrder = []struct{ workload, fn string }{
 	{"social", "F"}, {"social", "CP"},
 }
 
-// RunFig11 measures per-function breakdowns at moderate load on Jord and
+// RunFig11 measures per-function breakdowns at light load on Jord and
 // NightCore.
 func RunFig11(sc Scale, seed uint64) (*Fig11Result, error) {
-	machine := topo.QFlex32()
-	vcfg := vlb.DefaultConfig()
-	res := &Fig11Result{}
-
-	type measured struct {
-		byFn map[string]Fig11Bar
+	type key struct {
+		workload, fn string
+		kind         SystemKind
 	}
-	runSystem := func(kind SystemKind, wl string) (map[string]Fig11Bar, error) {
-		load := fig9Grid[wl][0] // light load so queueing does not pollute bars
-		sys, w, err := deploy(kind, machine, vcfg, wl, seed)
-		if err != nil {
-			return nil, err
-		}
-		r := sys.RunLoad(core.LoadSpec{
-			RPS:     load,
-			Warmup:  sc.Warmup,
-			Measure: sc.Measure,
-			Root:    w.Selector(),
-		})
-		out := map[string]Fig11Bar{}
-		for abbrev, fn := range w.Selected {
-			bd := r.MeanBreakdown(fn, sys.M.Cfg.FreqGHz)
-			bar := Fig11Bar{
-				Workload:  wl,
-				Function:  abbrev,
-				System:    kind,
-				ServiceNS: bd.Exec + bd.Isolation + bd.Alloc + bd.Dispatch + bd.Comm,
-			}
-			if kind == NightCore {
-				bar.ExecNS = bd.Exec
-				bar.PipeNS = bd.Comm
-				bar.DispatchNS = bd.Dispatch
-			} else {
-				// Zero-copy transfers and VMA allocation count as part of
-				// execution (JordNI pays them too); isolation is what the
-				// insecure baseline skips.
-				bar.ExecNS = bd.Exec + bd.Comm + bd.Alloc
-				bar.IsolNS = bd.Isolation
-				bar.DispatchNS = bd.Dispatch
-			}
-			out[abbrev] = bar
-		}
-		return out, nil
-	}
-
-	perWorkload := map[string]map[SystemKind]measured{}
+	bars := map[key]Fig11Bar{}
 	for _, wl := range []string{"hipster", "hotel", "media", "social"} {
-		perWorkload[wl] = map[SystemKind]measured{}
 		for _, kind := range []SystemKind{Jord, NightCore} {
-			bars, err := runSystem(kind, wl)
+			cfg := config(kind, seed)
+			// Light load, so queueing does not pollute the bars.
+			r, w, err := runPoint(cfg, wl, sc.load(fig9Grid[wl][0]), nil)
 			if err != nil {
 				return nil, fmt.Errorf("fig11 %s %v: %w", wl, kind, err)
 			}
-			perWorkload[wl][kind] = measured{byFn: bars}
+			for abbrev, fn := range w.Selected {
+				bd := r.MeanBreakdown(fn, cfg.Machine.FreqGHz)
+				bar := Fig11Bar{
+					Workload:  wl,
+					Function:  abbrev,
+					System:    kind,
+					ServiceNS: bd.Exec + bd.Isolation + bd.Alloc + bd.Dispatch + bd.Comm,
+				}
+				if kind == NightCore {
+					bar.ExecNS = bd.Exec
+					bar.PipeNS = bd.Comm
+					bar.DispatchNS = bd.Dispatch
+				} else {
+					// Zero-copy transfers and VMA allocation count as part of
+					// execution (JordNI pays them too); isolation is what the
+					// insecure baseline skips.
+					bar.ExecNS = bd.Exec + bd.Comm + bd.Alloc
+					bar.IsolNS = bd.Isolation
+					bar.DispatchNS = bd.Dispatch
+				}
+				bars[key{wl, abbrev, kind}] = bar
+			}
 		}
 	}
+	res := &Fig11Result{}
 	for _, sel := range selectedOrder {
 		for _, kind := range []SystemKind{Jord, NightCore} {
-			res.Bars = append(res.Bars, perWorkload[sel.workload][kind].byFn[sel.fn])
+			res.Bars = append(res.Bars, bars[key{sel.workload, sel.fn, kind}])
 		}
 	}
 	return res, nil

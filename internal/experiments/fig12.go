@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"jord/internal/metrics"
-	"jord/internal/sim/topo"
-	"jord/internal/vlb"
 )
 
 // Fig12Series is one VLB size's latency-vs-load curve.
@@ -33,47 +31,32 @@ type Fig12Result struct {
 
 // RunFig12 sweeps VLB sizes {1, 2, 4, 8, 16}.
 func RunFig12(sc Scale, seed uint64) (*Fig12Result, error) {
-	machine := topo.QFlex32()
 	res := &Fig12Result{}
-	panels := []struct {
-		workload string
-		kind     string
-	}{
-		{"hipster", "I-VLB"},
-		{"media", "D-VLB"},
-	}
-	sizes := []int{1, 2, 4, 8, 16}
-	for _, pn := range panels {
-		slo, err := sloFor(pn.workload, machine, vlb.DefaultConfig(), sc, seed)
+	for _, panel := range []Fig12Panel{
+		{Workload: "hipster", VLBKind: "I-VLB"},
+		{Workload: "media", VLBKind: "D-VLB"},
+	} {
+		slo, err := sloFor(panel.Workload, seed)
 		if err != nil {
 			return nil, err
 		}
-		panel := Fig12Panel{Workload: pn.workload, VLBKind: pn.kind, SLONS: slo}
-		grid := downsample(fig9Grid[pn.workload], sc.MaxPoints)
-		for _, size := range sizes {
-			vcfg := vlb.DefaultConfig()
-			if pn.kind == "I-VLB" {
-				vcfg.IVLBEntries = size
+		panel.SLONS = slo
+		for _, size := range []int{1, 2, 4, 8, 16} {
+			cfg := config(Jord, seed)
+			if panel.VLBKind == "I-VLB" {
+				cfg.VLB.IVLBEntries = size
 			} else {
-				vcfg.DVLBEntries = size
+				cfg.VLB.DVLBEntries = size
 			}
-			series := Fig12Series{Entries: size}
-			for _, rps := range grid {
-				r, freq, err := runPoint(Jord, machine, vcfg, pn.workload, rps, sc, seed)
-				if err != nil {
-					return nil, fmt.Errorf("fig12 %s %d: %w", pn.workload, size, err)
-				}
-				series.Points = append(series.Points, metrics.LoadPoint{
-					LoadRPS:     rps,
-					P99NS:       r.P99LatencyNS(),
-					MeasuredRPS: r.MeasuredRPS(freq),
-				})
-				if r.P99LatencyNS() > 4*slo {
-					break
-				}
+			points, err := sweep(cfg, panel.Workload, sc.grid(panel.Workload), slo, sc.load(0), nil)
+			if err != nil {
+				return nil, fmt.Errorf("fig12 %d entries: %w", size, err)
 			}
-			series.TputUnderSLO = metrics.ThroughputUnderSLO(series.Points, slo)
-			panel.Series = append(panel.Series, series)
+			panel.Series = append(panel.Series, Fig12Series{
+				Entries:      size,
+				Points:       points,
+				TputUnderSLO: metrics.ThroughputUnderSLO(points, slo),
+			})
 		}
 		res.Panels = append(res.Panels, panel)
 	}

@@ -3,10 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"jord/internal/metrics"
-	"jord/internal/sim/topo"
-	"jord/internal/vlb"
 )
 
 // Fig13Result reproduces Figure 13: Jord (plain-list VMA table) vs JordBT
@@ -14,46 +10,16 @@ import (
 // labelled Hipster; we generate both workloads and note the discrepancy in
 // EXPERIMENTS.md.
 type Fig13Result struct {
-	Panels []Fig13Panel
-}
-
-// Fig13Panel is one workload's comparison.
-type Fig13Panel struct {
-	Workload string
-	SLONS    float64
-	Series   []Fig9Series // reuses the system/points/tput structure
+	Panels []Fig9Workload
 }
 
 // RunFig13 sweeps Jord and JordBT.
 func RunFig13(sc Scale, seed uint64) (*Fig13Result, error) {
-	machine := topo.QFlex32()
-	vcfg := vlb.DefaultConfig()
 	res := &Fig13Result{}
 	for _, wl := range []string{"hotel", "hipster"} {
-		slo, err := sloFor(wl, machine, vcfg, sc, seed)
+		panel, err := systemsPanel(wl, []SystemKind{Jord, JordBT}, sc, seed)
 		if err != nil {
-			return nil, err
-		}
-		panel := Fig13Panel{Workload: wl, SLONS: slo}
-		grid := downsample(fig9Grid[wl], sc.MaxPoints)
-		for _, kind := range []SystemKind{Jord, JordBT} {
-			series := Fig9Series{System: kind}
-			for _, rps := range grid {
-				r, freq, err := runPoint(kind, machine, vcfg, wl, rps, sc, seed)
-				if err != nil {
-					return nil, fmt.Errorf("fig13 %s %v: %w", wl, kind, err)
-				}
-				series.Points = append(series.Points, metrics.LoadPoint{
-					LoadRPS:     rps,
-					P99NS:       r.P99LatencyNS(),
-					MeasuredRPS: r.MeasuredRPS(freq),
-				})
-				if r.P99LatencyNS() > 4*slo {
-					break
-				}
-			}
-			series.TputUnderSLO = metrics.ThroughputUnderSLO(series.Points, slo)
-			panel.Series = append(panel.Series, series)
+			return nil, fmt.Errorf("fig13: %w", err)
 		}
 		res.Panels = append(res.Panels, panel)
 	}

@@ -10,7 +10,6 @@ import (
 	"jord/internal/sim/memmodel"
 	"jord/internal/sim/topo"
 	"jord/internal/vlb"
-	"jord/internal/workloads"
 )
 
 // Fig14Row is one system scale's measurements.
@@ -46,61 +45,32 @@ func RunFig14(sc Scale, seed uint64) (*Fig14Result, error) {
 		{"256-core", topo.Scale(256)},
 		{"2-socket", topo.DualSocket256()},
 	}
+	spec := core.LoadSpec{RPS: 30_000, Warmup: sc.Warmup / 2, Measure: sc.Measure / 2}
 	res := &Fig14Result{}
 	for _, s := range scales {
-		row, err := runFig14Point(s.name, s.cfg, sc, seed)
+		perSocket := config(Jord, seed)
+		perSocket.Machine = s.cfg
+		single := perSocket
+		single.NumOrchestrators = 1
+		single.PerSocketOrchestrators = false
+		r, _, err := runPoint(single, "hipster", spec, nil)
 		if err != nil {
 			return nil, fmt.Errorf("fig14 %s: %w", s.name, err)
 		}
-		res.Rows = append(res.Rows, *row)
+		rPerSocket, _, err := runPoint(perSocket, "hipster", spec, nil)
+		if err != nil {
+			return nil, fmt.Errorf("fig14 %s: %w", s.name, err)
+		}
+		res.Rows = append(res.Rows, Fig14Row{
+			Scale:               s.name,
+			Cores:               s.cfg.TotalCores(),
+			ServiceNS:           r.MeanServiceNS(),
+			ShootdownNS:         worstCaseShootdownNS(s.cfg),
+			DispatchNS:          r.DispatchNS.Mean(),
+			DispatchPerSocketNS: rPerSocket.DispatchNS.Mean(),
+		})
 	}
 	return res, nil
-}
-
-func runFig14Point(name string, machine topo.Config, sc Scale, seed uint64) (*Fig14Row, error) {
-	measure := func(singleOrch bool) (*core.System, *core.Results, error) {
-		cfg := buildConfig(Jord, machine, vlb.DefaultConfig(), seed)
-		if singleOrch {
-			cfg.NumOrchestrators = 1
-			cfg.PerSocketOrchestrators = false
-		}
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		w, err := workloads.Build("hipster", sys, seed)
-		if err != nil {
-			sys.Close()
-			return nil, nil, err
-		}
-		r := sys.RunLoad(core.LoadSpec{
-			RPS:     30_000, // light: measure distances, not queueing
-			Warmup:  sc.Warmup / 2,
-			Measure: sc.Measure / 2,
-			Root:    w.Selector(),
-		})
-		return sys, r, nil
-	}
-
-	_, r, err := measure(true)
-	if err != nil {
-		return nil, err
-	}
-	row := &Fig14Row{
-		Scale:       name,
-		Cores:       machine.TotalCores(),
-		ServiceNS:   r.MeanServiceNS(),
-		DispatchNS:  r.DispatchNS.Mean(),
-		ShootdownNS: worstCaseShootdownNS(machine),
-	}
-
-	sysM, rM, err := measure(false)
-	if err != nil {
-		return nil, err
-	}
-	_ = sysM
-	row.DispatchPerSocketNS = rM.DispatchNS.Mean()
-	return row, nil
 }
 
 // worstCaseShootdownNS measures the paper's shootdown metric: the latency

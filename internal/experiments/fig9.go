@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"jord/internal/metrics"
-	"jord/internal/sim/topo"
-	"jord/internal/vlb"
 )
 
 // Fig9Series is one system's latency-vs-load curve for one workload.
@@ -17,7 +15,7 @@ type Fig9Series struct {
 	TputUnderSLO float64
 }
 
-// Fig9Workload is one workload's panel of Figure 9.
+// Fig9Workload is one workload's panel of Figure 9 (or Figure 13).
 type Fig9Workload struct {
 	Workload string
 	SLONS    float64
@@ -34,43 +32,40 @@ type Fig9Result struct {
 // RunFig9 sweeps all workloads. workloadFilter restricts to one workload
 // ("" = all).
 func RunFig9(sc Scale, workloadFilter string, seed uint64) (*Fig9Result, error) {
-	machine := topo.QFlex32()
-	vcfg := vlb.DefaultConfig()
 	res := &Fig9Result{}
 	for _, wl := range []string{"hipster", "hotel", "media", "social"} {
 		if workloadFilter != "" && wl != workloadFilter {
 			continue
 		}
-		slo, err := sloFor(wl, machine, vcfg, sc, seed)
+		panel, err := systemsPanel(wl, []SystemKind{JordNI, Jord, NightCore}, sc, seed)
 		if err != nil {
-			return nil, fmt.Errorf("fig9 %s slo: %w", wl, err)
-		}
-		panel := Fig9Workload{Workload: wl, SLONS: slo}
-		grid := downsample(fig9Grid[wl], sc.MaxPoints)
-		for _, kind := range []SystemKind{JordNI, Jord, NightCore} {
-			series := Fig9Series{System: kind}
-			for _, rps := range grid {
-				r, freq, err := runPoint(kind, machine, vcfg, wl, rps, sc, seed)
-				if err != nil {
-					return nil, fmt.Errorf("fig9 %s %v @%.1f: %w", wl, kind, rps/1e6, err)
-				}
-				series.Points = append(series.Points, metrics.LoadPoint{
-					LoadRPS:     rps,
-					P99NS:       r.P99LatencyNS(),
-					MeasuredRPS: r.MeasuredRPS(freq),
-				})
-				// Past 4x SLO the curve is vertical; later points only
-				// cost time.
-				if r.P99LatencyNS() > 4*slo {
-					break
-				}
-			}
-			series.TputUnderSLO = metrics.ThroughputUnderSLO(series.Points, slo)
-			panel.Series = append(panel.Series, series)
+			return nil, fmt.Errorf("fig9: %w", err)
 		}
 		res.Panels = append(res.Panels, panel)
 	}
 	return res, nil
+}
+
+// systemsPanel sweeps each system over workload's grid against the
+// workload's SLO.
+func systemsPanel(workload string, kinds []SystemKind, sc Scale, seed uint64) (Fig9Workload, error) {
+	slo, err := sloFor(workload, seed)
+	if err != nil {
+		return Fig9Workload{}, fmt.Errorf("%s slo: %w", workload, err)
+	}
+	panel := Fig9Workload{Workload: workload, SLONS: slo}
+	for _, kind := range kinds {
+		points, err := sweep(config(kind, seed), workload, sc.grid(workload), slo, sc.load(0), nil)
+		if err != nil {
+			return Fig9Workload{}, fmt.Errorf("%v: %w", kind, err)
+		}
+		panel.Series = append(panel.Series, Fig9Series{
+			System:       kind,
+			Points:       points,
+			TputUnderSLO: metrics.ThroughputUnderSLO(points, slo),
+		})
+	}
+	return panel, nil
 }
 
 // Render formats each panel as a table of p99 latencies per load.

@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"jord/internal/sim/topo"
-	"jord/internal/vlb"
 )
 
 // OverheadRow is one workload's §6.2 overhead accounting.
@@ -31,11 +28,9 @@ type OverheadsResult struct {
 // RunOverheads measures per-request and per-invocation overheads at light
 // load on Jord.
 func RunOverheads(sc Scale, seed uint64) (*OverheadsResult, error) {
-	machine := topo.QFlex32()
-	vcfg := vlb.DefaultConfig()
 	res := &OverheadsResult{}
 	for _, wl := range []string{"hipster", "hotel", "media", "social"} {
-		r, freq, err := runPoint(Jord, machine, vcfg, wl, fig9Grid[wl][0], sc, seed)
+		r, freq, err := RunPoint(Jord, wl, fig9Grid[wl][0], sc, seed)
 		if err != nil {
 			return nil, fmt.Errorf("overheads %s: %w", wl, err)
 		}

@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"jord/internal/metrics"
-	"jord/internal/sim/topo"
-	"jord/internal/vlb"
 )
 
 // SampledPoint is one (system, workload, load) point measured over
@@ -30,12 +28,10 @@ func RunSampledPoint(kind SystemKind, workload string, rps float64, sc Scale, tr
 	if trials < 1 {
 		trials = 1
 	}
-	machine := topo.QFlex32()
-	vcfg := vlb.DefaultConfig()
 	p99s := make([]float64, 0, trials)
 	tputs := make([]float64, 0, trials)
 	for i := 0; i < trials; i++ {
-		r, freq, err := runPoint(kind, machine, vcfg, workload, rps, sc, baseSeed+uint64(i))
+		r, freq, err := RunPoint(kind, workload, rps, sc, baseSeed+uint64(i))
 		if err != nil {
 			return nil, fmt.Errorf("sampled point trial %d: %w", i, err)
 		}

@@ -140,3 +140,30 @@ func (r *Table4Result) Render() string {
 	}
 	return b.String()
 }
+
+// ParamsResult echoes Table 2: the simulated machine's parameters.
+type ParamsResult struct {
+	Machine topo.Config
+}
+
+// RunParams reports the 32-core machine every single-server experiment
+// runs on.
+func RunParams() (*ParamsResult, error) {
+	return &ParamsResult{Machine: topo.QFlex32()}, nil
+}
+
+// Render prints the parameters one per line.
+func (r *ParamsResult) Render() string {
+	cfg := r.Machine
+	var b strings.Builder
+	fmt.Fprintf(&b, "Table 2: system parameters for simulation\n")
+	fmt.Fprintf(&b, "  cores          %d (%dx%d mesh, %d socket)\n",
+		cfg.TotalCores(), cfg.MeshX, cfg.MeshY, cfg.Sockets)
+	fmt.Fprintf(&b, "  clock          %.0f GHz\n", cfg.FreqGHz)
+	fmt.Fprintf(&b, "  L1             %d-cycle\n", cfg.L1Cycles)
+	fmt.Fprintf(&b, "  LLC            %d-cycle/slice, directory-based MESI\n", cfg.LLCCycles)
+	fmt.Fprintf(&b, "  NoC            %d cycles/hop, %d B links\n", cfg.HopCycles, cfg.LinkBytes)
+	fmt.Fprintf(&b, "  DRAM           %d cycles at the controller, %d MCs\n", cfg.DRAMCycles, cfg.MemControllers)
+	fmt.Fprintf(&b, "  inter-socket   %.0f ns\n", cfg.InterSocketNS)
+	return b.String()
+}

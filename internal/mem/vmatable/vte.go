@@ -273,6 +273,8 @@ const (
 	attrG     = 1 << 1
 	attrP     = 1 << 2
 	attrPermS = 3 // perm occupies attr bits 3..5
+	// permShift maps Perm's R/W/X (bits 1..3) onto a 3-bit field.
+	permShift = 1
 	offsMask  = 1<<52 - 1
 )
 
@@ -284,7 +286,7 @@ func (v *VTE) Pack(ptr uint64) [VTESize]byte {
 	binary.LittleEndian.PutUint64(b[0:], v.Bound)
 	attr := uint64(attrValid)
 	if v.Global != PermNone {
-		attr |= attrG | uint64(v.Global)<<attrPermS
+		attr |= attrG | uint64(v.Global>>permShift)<<attrPermS
 	}
 	if v.Priv {
 		attr |= attrP
@@ -294,7 +296,7 @@ func (v *VTE) Pack(ptr uint64) [VTESize]byte {
 	for i := 0; i < SubEntries; i++ {
 		var e uint16
 		if v.Sub[i].used {
-			e = 1<<15 | uint16(v.Sub[i].Perm&7)<<12 | uint16(v.Sub[i].PD)&0xfff
+			e = 1<<15 | uint16(v.Sub[i].Perm>>permShift&7)<<12 | uint16(v.Sub[i].PD)&0xfff
 		}
 		binary.LittleEndian.PutUint16(b[24+2*i:], e)
 	}
@@ -313,14 +315,14 @@ func UnpackVTE(b [VTESize]byte) (v VTE, ptr uint64, ok bool) {
 	v.Bound = binary.LittleEndian.Uint64(b[0:])
 	v.Offs = word1 & offsMask
 	if attr&attrG != 0 {
-		v.Global = Perm(attr >> attrPermS & 7)
+		v.Global = Perm(attr>>attrPermS&7) << permShift
 	}
 	v.Priv = attr&attrP != 0
 	ptr = binary.LittleEndian.Uint64(b[16:])
 	for i := 0; i < SubEntries; i++ {
 		e := binary.LittleEndian.Uint16(b[24+2*i:])
 		if e&(1<<15) != 0 {
-			v.Sub[i] = PDPerm{PD: PDID(e & 0xfff), Perm: Perm(e >> 12 & 7), used: true}
+			v.Sub[i] = PDPerm{PD: PDID(e & 0xfff), Perm: Perm(e>>12&7) << permShift, used: true}
 		}
 	}
 	return v, ptr, true

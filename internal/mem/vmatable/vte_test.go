@@ -132,7 +132,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			Bound: bound,
 			Offs:  offs & (1<<52 - 1),
 			Priv:  priv,
-			Perms: Perms{Global: Perm(gp & 7)},
+			Perms: Perms{Global: Perm(gp) & PermRWX},
 		}
 		n := len(pds)
 		if len(perms) < n {
@@ -144,7 +144,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 		want := map[PDID]Perm{}
 		for i := 0; i < n; i++ {
 			pd := PDID(pds[i] & 0xfff)
-			perm := Perm(perms[i]&6 | 1) // non-zero, <=7
+			perm := Perm(perms[i]) & PermRWX
 			v.SetPerm(pd, perm)
 			want[pd] = perm
 		}
