@@ -85,9 +85,16 @@ var csPool = sync.Pool{New: func() any {
 	return cs
 }}
 
-// Serve accepts connections on ln until Shutdown closes it.
+// Serve accepts connections on ln until Shutdown closes it. Called after
+// Shutdown, it closes ln and returns nil at once.
 func (e *Edge) Serve(ln net.Listener) error {
 	e.mu.Lock()
+	if e.draining.Load() {
+		// Shutdown ran first and found no listener to close.
+		e.mu.Unlock()
+		ln.Close()
+		return nil
+	}
 	e.ln = ln
 	e.mu.Unlock()
 	for {

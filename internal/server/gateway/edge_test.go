@@ -506,3 +506,31 @@ func TestEdgeShutdownDrains(t *testing.T) {
 		t.Fatal("listener still accepting after Shutdown")
 	}
 }
+
+// TestEdgeServeAfterShutdown: a Serve that starts after Shutdown must close
+// its listener and return at once, not block in Accept with nobody left to
+// close it.
+func TestEdgeServeAfterShutdown(t *testing.T) {
+	e := NewEdge(&Gateway{})
+	if err := e.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- e.Serve(ln) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve after Shutdown = %v, want nil", err)
+		}
+	case <-time.After(2 * time.Second):
+		ln.Close() // unblock the stuck Accept so the goroutine ends
+		t.Fatal("Serve after Shutdown blocked in Accept")
+	}
+	if _, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		t.Fatal("listener still accepting after Serve returned")
+	}
+}

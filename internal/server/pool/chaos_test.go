@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"jord/internal/server/pool"
-	"jord/internal/server/pool/faultfn"
 	"jord/internal/server/router"
 	"jord/internal/server/state"
 )
@@ -47,7 +46,7 @@ func TestChaosMixedFaults(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	reg := router.New()
-	faultfn.RegisterAll(reg)
+	registerFaults(reg)
 	// Small PD space (but above the worst case of `workers` concurrent
 	// depth-6 chains, 7 PDs each, so suspended holders can always make
 	// progress), fast sweep, tight watchdog: every lifecycle mechanism
@@ -64,7 +63,7 @@ func TestChaosMixedFaults(t *testing.T) {
 	p.Start()
 
 	rng := rand.New(rand.NewSource(20250806))
-	names := faultfn.Names()
+	names := faultNames()
 
 	var (
 		mu       sync.Mutex
@@ -175,7 +174,7 @@ func TestChaosStateful(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	reg := router.New()
-	faultfn.RegisterAll(reg)
+	registerFaults(reg)
 	p := pool.New(pool.Config{
 		Executors:        4,
 		Orchestrators:    2,
@@ -196,7 +195,7 @@ func TestChaosStateful(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(20250807))
 	stateful := []string{"stateboom", "statestuck", "stateforget", "staterw"}
-	names := faultfn.Names()
+	names := faultNames()
 
 	var (
 		mu       sync.Mutex
@@ -312,7 +311,7 @@ func TestChaosPDStarvation(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	reg := router.New()
-	faultfn.RegisterAll(reg)
+	registerFaults(reg)
 	p := pool.New(pool.Config{
 		Executors:     4,
 		Orchestrators: 1,

@@ -1,0 +1,129 @@
+package workloads
+
+import (
+	"context"
+	"math/rand"
+	"strconv"
+	"testing"
+
+	"jord/internal/server/pool"
+)
+
+// The social benchmark rig's shape (benchmark/workloads.go): 4096 users,
+// four seeded follows each, Zipf(1.2) draws within each client's share of
+// the users, two clients (a 2-CPU box).
+const (
+	mixUsers   = 4096
+	mixFollows = 4
+	mixClients = 2
+)
+
+// mixDraw draws one client's users the way the benchmark rig does: the
+// acting user Zipf over the client's share, the followee flat over it.
+type mixDraw struct {
+	rng             *rand.Rand
+	zipf            *rand.Zipf
+	client, clients uint64
+}
+
+func newMixDraw(rng *rand.Rand, client int) *mixDraw {
+	return &mixDraw{
+		rng:    rng,
+		zipf:   rand.NewZipf(rng, 1.2, 1, uint64(mixUsers/mixClients-1)),
+		client: uint64(client), clients: mixClients,
+	}
+}
+
+func (d *mixDraw) pair() (u, v uint64) {
+	u = d.zipf.Uint64()*d.clients + d.client
+	for v = u; v == u; {
+		v = uint64(d.rng.Intn(mixUsers/mixClients))*d.clients + d.client
+	}
+	return u, v
+}
+
+func appendMixUser(b []byte, u uint64) []byte {
+	return strconv.AppendUint(append(b, 'u'), u, 10)
+}
+
+// seedSocialMix fills the store the way the benchmark rig does before its
+// first request: a profile per user, the follow graph, one post per user.
+func seedSocialMix(tb testing.TB, p *pool.Pool) {
+	tb.Helper()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1*2654435761 + 17))
+	draws := make([]*mixDraw, mixClients)
+	for c := range draws {
+		draws[c] = newMixDraw(rng, c)
+	}
+	invoke := func(fn string, payload []byte) {
+		if _, err := p.Invoke(ctx, fn, payload); err != nil {
+			tb.Fatalf("seeding %s(%q): %v", fn, payload, err)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	for u := uint64(0); u < mixUsers; u++ {
+		invoke("social.profile", appendMixUser(buf[:0], u))
+	}
+	for i := 0; i < mixUsers*mixFollows; i++ {
+		u, v := draws[i%mixClients].pair()
+		invoke("social.follow", appendMixUser(append(appendMixUser(buf[:0], u), ' '), v))
+	}
+	for u := uint64(0); u < mixUsers; u++ {
+		invoke("social.post", append(appendMixUser(buf[:0], u), " first post"...))
+	}
+}
+
+// BenchmarkSocialMix runs the social_read and social_write request mixes
+// (cumulative timeline / post / follow shares; the rest is profile) in
+// process against a seeded store, one request at a time, round robin over
+// the clients' request streams. b.N fixes how far the follow lists grow,
+// so compare runs at one -benchtime=Nx.
+func BenchmarkSocialMix(b *testing.B) {
+	for _, w := range []struct {
+		name string
+		mix  [3]float64
+	}{
+		{"write", [3]float64{0.15, 0.70, 0.95}},
+		{"read", [3]float64{0.60, 0.85, 0.95}},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			p, _ := startSocialPool(b, 0)
+			seedSocialMix(b, p)
+			name := "social_" + w.name
+			rngs := make([]*rand.Rand, mixClients)
+			draws := make([]*mixDraw, mixClients)
+			for c := range rngs {
+				rngs[c] = rand.New(rand.NewSource(1*1000003 + int64(c)*7919 + int64(len(name))))
+				draws[c] = newMixDraw(rngs[c], c)
+			}
+			ctx := context.Background()
+			buf := make([]byte, 0, 128)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := i % mixClients
+				u, v := draws[c].pair()
+				buf = appendMixUser(buf[:0], u)
+				var fn string
+				switch r := rngs[c].Float64(); {
+				case r < w.mix[0]:
+					fn = "social.timeline"
+				case r < w.mix[1]:
+					fn = "social.post"
+					buf = append(buf, " musing "...)
+					buf = strconv.AppendInt(buf, int64(rngs[c].Intn(1_000_000)), 10)
+					buf = append(buf, " about single-address-space serverless"...)
+				case r < w.mix[2]:
+					fn = "social.follow"
+					buf = appendMixUser(append(buf, ' '), v)
+				default:
+					fn = "social.profile"
+				}
+				if _, err := p.Invoke(ctx, fn, buf); err != nil {
+					b.Fatalf("%s(%q): %v", fn, buf, err)
+				}
+			}
+		})
+	}
+}

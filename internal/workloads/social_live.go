@@ -3,11 +3,14 @@ package workloads
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
+	"unicode/utf8"
 
 	"jord/internal/server/router"
 	"jord/internal/server/state"
@@ -30,6 +33,14 @@ import (
 //     crosses the store boundary by value (memcpy), counted in CopyStats.
 //
 // The function bodies are identical; only the store behind them differs.
+//
+// The bodies scan the stored newline lists in place (nextField) and hold
+// each snapshot until they are done with the bytes it aliases, so what
+// they allocate per request does not grow with a list's length: the keys
+// they build, the values they commit (one per updated key), the post body
+// they store and the response. A follow of an edge that already exists
+// allocates the same whether the user follows four others or two thousand
+// (TestSocialFollowAllocsFlat).
 
 // Live social functions and their payloads (whitespace-separated tokens):
 //
@@ -54,14 +65,23 @@ const takeRetries = 64
 // socialStore is the tiny store seam the social bodies run over: the
 // shared-state tier or the copying baseline.
 type socialStore interface {
-	// read returns the value (nil, false if absent) plus a release func for
-	// zero-copy stores (nil when there is nothing to release).
-	read(ctx router.Ctx, key string) (val []byte, ok bool, release func(), err error)
+	// read returns the value (nil, false if absent) plus, for zero-copy
+	// stores, the snapshot val aliases (nil when there is nothing to
+	// release).
+	read(ctx router.Ctx, key string) (val []byte, ok bool, snap router.StateSnap, err error)
 	// write creates or replaces key.
 	write(ctx router.Ctx, key string, val []byte) error
-	// update applies f to the current value (nil if absent) and commits the
-	// result, returning it. Exclusive per key for the duration of f.
-	update(ctx router.Ctx, key string, f func(old []byte) []byte) ([]byte, error)
+	// update commits f(current value, arg) — the current value nil if
+	// absent — and returns it. Exclusive per key for the duration of f.
+	// arg is passed through so that f need not be a closure.
+	update(ctx router.Ctx, key, arg string, f func(old []byte, arg string) []byte) ([]byte, error)
+}
+
+// release returns a snapshot that read handed out, if there is one.
+func release(sn router.StateSnap) {
+	if sn != nil {
+		sn.Release()
+	}
 }
 
 // sharedStore backs the social bodies with the node-global tier of the
@@ -69,7 +89,7 @@ type socialStore interface {
 // permission-checked against the invocation's protection domain.
 type sharedStore struct{}
 
-func (sharedStore) read(ctx router.Ctx, key string) ([]byte, bool, func(), error) {
+func (sharedStore) read(ctx router.Ctx, key string) ([]byte, bool, router.StateSnap, error) {
 	sn, err := ctx.StateGet(router.StateGlobal, key)
 	if err != nil {
 		if errors.Is(err, state.ErrNotFound) {
@@ -77,7 +97,7 @@ func (sharedStore) read(ctx router.Ctx, key string) ([]byte, bool, func(), error
 		}
 		return nil, false, nil, err
 	}
-	return sn.Bytes(), true, sn.Release, nil
+	return sn.Bytes(), true, sn, nil
 }
 
 func (sharedStore) write(ctx router.Ctx, key string, val []byte) error {
@@ -85,7 +105,7 @@ func (sharedStore) write(ctx router.Ctx, key string, val []byte) error {
 	return err
 }
 
-func (sharedStore) update(ctx router.Ctx, key string, f func(old []byte) []byte) ([]byte, error) {
+func (sharedStore) update(ctx router.Ctx, key, arg string, f func(old []byte, arg string) []byte) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
 		tx, err := ctx.StateTake(router.StateGlobal, key)
 		if err != nil {
@@ -100,7 +120,7 @@ func (sharedStore) update(ctx router.Ctx, key string, f func(old []byte) []byte)
 			}
 			return nil, err
 		}
-		next := f(tx.Bytes())
+		next := f(tx.Bytes(), arg)
 		if _, err := tx.Commit(next); err != nil {
 			tx.Discard()
 			return nil, err
@@ -126,7 +146,7 @@ type copyStore struct {
 	stats *CopyStats
 }
 
-func (s *copyStore) read(_ router.Ctx, key string) ([]byte, bool, func(), error) {
+func (s *copyStore) read(_ router.Ctx, key string) ([]byte, bool, router.StateSnap, error) {
 	s.mu.RLock()
 	v, ok := s.m[key]
 	var out []byte
@@ -150,12 +170,12 @@ func (s *copyStore) write(_ router.Ctx, key string, val []byte) error {
 	return nil
 }
 
-func (s *copyStore) update(_ router.Ctx, key string, f func(old []byte) []byte) ([]byte, error) {
+func (s *copyStore) update(_ router.Ctx, key, arg string, f func(old []byte, arg string) []byte) ([]byte, error) {
 	s.mu.Lock()
 	old := s.m[key]
 	// The copy out and copy back in are both real costs of the boundary.
 	s.stats.ReadBytes.Add(uint64(len(old)))
-	next := f(append([]byte(nil), old...))
+	next := f(append([]byte(nil), old...), arg)
 	s.stats.WriteBytes.Add(uint64(len(next)))
 	s.m[key] = append([]byte(nil), next...)
 	s.mu.Unlock()
@@ -195,14 +215,10 @@ func registerSocialBodies(reg *router.Registry, prefix string, st socialStore) {
 		// one key. No cross-key transaction: the social graph tolerates the
 		// one-sided window (DeathStarBench updates the two Redis sets
 		// independently too).
-		if _, err := st.update(ctx, "sg:flw:"+user, func(old []byte) []byte {
-			return addLine(old, followee)
-		}); err != nil {
+		if _, err := st.update(ctx, "sg:flw:"+user, followee, addLine); err != nil {
 			return nil, err
 		}
-		if _, err := st.update(ctx, "sg:fan:"+followee, func(old []byte) []byte {
-			return addLine(old, user)
-		}); err != nil {
+		if _, err := st.update(ctx, "sg:fan:"+followee, user, addLine); err != nil {
 			return nil, err
 		}
 		return []byte("ok"), nil
@@ -214,10 +230,7 @@ func registerSocialBodies(reg *router.Registry, prefix string, st socialStore) {
 			return nil, err
 		}
 		// Allocate the post id from the author's counter (exclusive RMW).
-		cnt, err := st.update(ctx, "cnt:"+user, func(old []byte) []byte {
-			n, _ := strconv.ParseUint(string(old), 10, 64)
-			return strconv.AppendUint(nil, n+1, 10)
-		})
+		cnt, err := st.update(ctx, "cnt:"+user, "", bumpCount)
 		if err != nil {
 			return nil, err
 		}
@@ -226,29 +239,22 @@ func registerSocialBodies(reg *router.Registry, prefix string, st socialStore) {
 			return nil, err
 		}
 		// Fan out: the author's own timeline plus every follower's. The
-		// follower set is a read snapshot, released before the timeline
-		// updates (an invocation may not Take a key it holds a snapshot of —
-		// and more to the point, holding it longer than needed pins a
-		// permission slot).
-		fans, ok, release, err := st.read(ctx, "sg:fan:"+user)
+		// follower set is a read snapshot scanned in place, so it stays held
+		// until the last timeline update. The invocation never takes the
+		// key it holds that snapshot of: every update is to a tl: key.
+		fans, _, sn, err := st.read(ctx, "sg:fan:"+user)
 		if err != nil {
 			return nil, err
 		}
-		targets := []string{user}
-		if ok {
-			for _, f := range strings.Fields(string(fans)) {
-				if f != user {
-					targets = append(targets, f)
-				}
+		defer release(sn)
+		if _, err := st.update(ctx, "tl:"+user, id, prependTimeline); err != nil {
+			return nil, err
+		}
+		for f, rest := nextField(fans); f != nil; f, rest = nextField(rest) {
+			if string(f) == user {
+				continue
 			}
-		}
-		if release != nil {
-			release()
-		}
-		for _, t := range targets {
-			if _, err := st.update(ctx, "tl:"+t, func(old []byte) []byte {
-				return prependLine(old, id, timelineCap)
-			}); err != nil {
+			if _, err := st.update(ctx, "tl:"+string(f), id, prependTimeline); err != nil {
 				return nil, err
 			}
 		}
@@ -260,44 +266,58 @@ func registerSocialBodies(reg *router.Registry, prefix string, st socialStore) {
 		if user == "" {
 			return nil, fmt.Errorf("social: timeline wants a user name")
 		}
-		tl, ok, release, err := st.read(ctx, "tl:"+user)
+		tl, ok, tlSnap, err := st.read(ctx, "tl:"+user)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return nil, nil
 		}
-		ids := strings.Fields(string(tl))
-		if release != nil {
-			release()
+		defer release(tlSnap)
+		// The newest feedPosts ids alias the timeline snapshot, and each
+		// post body its own snapshot: all stay held until the feed is built.
+		var ids, bodies [feedPosts][]byte
+		var snaps [feedPosts]router.StateSnap
+		n := 0
+		for f, rest := nextField(tl); f != nil && n < feedPosts; f, rest = nextField(rest) {
+			ids[n] = f
+			n++
 		}
-		if len(ids) > feedPosts {
-			ids = ids[:feedPosts]
-		}
+		defer func() {
+			for _, sn := range snaps[:n] {
+				release(sn)
+			}
+		}()
 		// Resolve each post: the read-heavy inner loop the zero-copy
-		// snapshot path exists for.
-		var feed strings.Builder
-		for _, id := range ids {
-			body, ok, release, err := st.read(ctx, "post:"+id)
+		// snapshot path exists for. A missing post leaves no line.
+		size := 0
+		for i, id := range ids[:n] {
+			body, ok, sn, err := st.read(ctx, "post:"+string(id))
 			if err != nil {
 				return nil, err
 			}
-			if ok {
-				feed.WriteString(id)
-				feed.WriteByte(' ')
-				feed.Write(body)
-				feed.WriteByte('\n')
+			bodies[i], snaps[i] = body, sn
+			if !ok {
+				ids[i] = nil
+				continue
 			}
-			if release != nil {
-				release()
+			size += len(id) + len(body) + 2
+		}
+		feed := make([]byte, 0, size)
+		for i, id := range ids[:n] {
+			if id != nil {
+				feed = append(feed, id...)
+				feed = append(feed, ' ')
+				feed = append(feed, bodies[i]...)
+				feed = append(feed, '\n')
 			}
 		}
-		return []byte(feed.String()), nil
+		return feed, nil
 	})
 
 	reg.MustRegister(prefix+"read", func(ctx router.Ctx) ([]byte, error) {
 		id := strings.TrimSpace(string(ctx.Payload()))
-		body, ok, release, err := st.read(ctx, "post:"+id)
+		body, ok, sn, err := st.read(ctx, "post:"+id)
 		if err != nil {
 			return nil, err
 		}
@@ -308,9 +328,7 @@ func registerSocialBodies(reg *router.Registry, prefix string, st socialStore) {
 		// so it is copied out of the snapshot alias — both variants pay this
 		// equally; the store-boundary copy is what differs.
 		out := append([]byte(nil), body...)
-		if release != nil {
-			release()
-		}
+		release(sn)
 		return out, nil
 	})
 
@@ -320,15 +338,13 @@ func registerSocialBodies(reg *router.Registry, prefix string, st socialStore) {
 			return nil, fmt.Errorf("social: profile wants a user name")
 		}
 		for {
-			prof, ok, release, err := st.read(ctx, "prof:"+user)
+			prof, ok, sn, err := st.read(ctx, "prof:"+user)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
 				out := append([]byte(nil), prof...)
-				if release != nil {
-					release()
-				}
+				release(sn)
 				return out, nil
 			}
 			// First sight of this user: materialize a default profile, then
@@ -350,10 +366,73 @@ func twoFields(payload []byte) (first, rest string, err error) {
 	return s[:i], strings.TrimSpace(s[i+1:]), nil
 }
 
-// addLine appends line to a newline-separated set if absent.
+// asciiSpace marks the bytes below utf8.RuneSelf that strings.Fields
+// splits on.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// nextField splits the first field off b, by exactly strings.Fields' rule,
+// and returns it with the rest of b to scan. field is nil when b holds no
+// field. Both alias b, so scanning a stored list allocates nothing:
+//
+//	for f, rest := nextField(b); f != nil; f, rest = nextField(rest) { ... }
+func nextField(b []byte) (field, rest []byte) {
+	i := skipRunes(b, 0, true)
+	if i == len(b) {
+		return nil, nil
+	}
+	j := skipRunes(b, i, false)
+	return b[i:j], b[j:]
+}
+
+// skipRunes returns the index of the first rune of b at or after i that is
+// not space if space is set, or is space if not — strings.Fields' space:
+// asciiSpace below utf8.RuneSelf, unicode.IsSpace of the decoded rune at
+// or above it (an invalid byte decodes as a one-byte utf8.RuneError, which
+// is not space).
+func skipRunes(b []byte, i int, space bool) int {
+	for i < len(b) {
+		if c := b[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] != space {
+				return i
+			}
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRune(b[i:])
+		if unicode.IsSpace(r) != space {
+			return i
+		}
+		i += w
+	}
+	return i
+}
+
+// bumpCount is the post-id allocator's update: the decimal counter plus
+// one. The counter is read as strconv.ParseUint(old, 10, 64) reads it,
+// with its error dropped — a malformed value counts as 0 and an
+// overflowing one as the maximum — but without copying old into a string.
+func bumpCount(old []byte, _ string) []byte {
+	var n uint64
+	for _, c := range old {
+		d := uint64(c - '0')
+		if d > 9 {
+			n = 0
+			break
+		}
+		if n > (math.MaxUint64-d)/10 {
+			n = math.MaxUint64
+			break
+		}
+		n = n*10 + d
+	}
+	return strconv.AppendUint(nil, n+1, 10)
+}
+
+// addLine appends line to a newline-separated set if absent; when it is
+// present it returns old itself.
 func addLine(old []byte, line string) []byte {
-	for _, l := range strings.Fields(string(old)) {
-		if l == line {
+	for f, rest := nextField(old); f != nil; f, rest = nextField(rest) {
+		if string(f) == line {
 			return old
 		}
 	}
@@ -367,16 +446,21 @@ func addLine(old []byte, line string) []byte {
 }
 
 // prependLine pushes line onto a newline list, newest first, capped at max.
+// Every field of old takes at most its own length plus one separator, so
+// the one allocation is the result.
 func prependLine(old []byte, line string, max int) []byte {
-	lines := strings.Fields(string(old))
 	out := make([]byte, 0, len(old)+len(line)+1)
 	out = append(out, line...)
-	for i, l := range lines {
-		if i >= max-1 {
-			break
-		}
+	kept := 1
+	for f, rest := nextField(old); f != nil && kept < max; f, rest = nextField(rest) {
 		out = append(out, '\n')
-		out = append(out, l...)
+		out = append(out, f...)
+		kept++
 	}
 	return out
+}
+
+// prependTimeline is the fan-out's update: id onto a capped timeline.
+func prependTimeline(old []byte, id string) []byte {
+	return prependLine(old, id, timelineCap)
 }

@@ -2,8 +2,11 @@ package workloads
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -14,13 +17,17 @@ import (
 	"jord/internal/server/state"
 )
 
-// startSocialPool boots an in-process pool with the shared-state store and
-// both social variants registered; cleanup drains and checks nothing leaked.
-func startSocialPool(t *testing.T, promoteAfter int) (*pool.Pool, *state.Store) {
+// startSocialPool boots an in-process pool with the shared-state store,
+// both social variants and any extra functions registered; cleanup drains
+// and checks nothing leaked.
+func startSocialPool(t testing.TB, promoteAfter int, extra ...func(*router.Registry)) (*pool.Pool, *state.Store) {
 	t.Helper()
 	reg := router.New()
 	RegisterSocialLive(reg)
 	RegisterSocialCopy(reg)
+	for _, register := range extra {
+		register(reg)
+	}
 	p := pool.New(pool.Config{Executors: 4, Orchestrators: 1}, reg)
 	st, err := state.New(state.Config{PromoteAfter: promoteAfter}, p.Table())
 	if err != nil {
@@ -165,5 +172,93 @@ func TestSocialLiveConcurrent(t *testing.T) {
 	}
 	if stats.Promotions == 0 {
 		t.Fatalf("no promotion under hot-profile read load: %+v", stats)
+	}
+}
+
+// TestSocialBehaviourPinned runs one seeded request sequence over both
+// stores, then reads back every key it can have touched, and compares a
+// digest of the responses, the stored bytes and the store's operation
+// counters with the digest the same bodies produced when they split the
+// stored lists with strings.Fields. Payloads include tabs, runs of spaces and non-ASCII space, so
+// the digest also pins how odd user names split.
+func TestSocialBehaviourPinned(t *testing.T) {
+	const want = "9155aa5161e25b5294041b942e376b2d3b34cb4720f48b8d340080e1d6d7585e"
+	copies := &copyStore{m: make(map[string][]byte), stats: &CopyStats{}}
+	p, st := startSocialPool(t, 4, func(reg *router.Registry) {
+		registerSocialBodies(reg, "pinned.", copies)
+		// dump reads back each newline-separated key of its payload.
+		reg.MustRegister("dump", func(ctx router.Ctx) ([]byte, error) {
+			var out []byte
+			for _, k := range strings.Split(string(ctx.Payload()), "\n") {
+				sn, err := ctx.StateGet(router.StateGlobal, k)
+				if errors.Is(err, state.ErrNotFound) {
+					out = append(out, k+" -\n"...)
+					continue
+				}
+				if err != nil {
+					return nil, err
+				}
+				out = fmt.Appendf(out, "%s %q\n", k, sn.Bytes())
+				sn.Release()
+			}
+			return out, nil
+		})
+	})
+	ctx := context.Background()
+	users := []string{"u0", "u1", "u2", "u3", "u4", "u5", "u6", "u7", "a b", "a", "b", "x y", "x", "t\tu"}
+	rng := rand.New(rand.NewSource(36))
+	var ops []string
+	for i := 0; i < 600; i++ {
+		u, v := users[rng.Intn(len(users))], users[rng.Intn(len(users))]
+		switch r := rng.Intn(20); {
+		case r < 6:
+			ops = append(ops, "follow", u+" "+v)
+		case r < 11:
+			ops = append(ops, "post", fmt.Sprintf("%s  post %d\tfrom  %s ", u, i, u))
+		case r < 16:
+			ops = append(ops, "timeline", " "+u)
+		case r < 18:
+			ops = append(ops, "read", fmt.Sprintf("%s/%d", u, rng.Intn(8)))
+		case r < 19:
+			ops = append(ops, "profile", u)
+		default:
+			ops = append(ops, "follow", u) // one field: an error
+		}
+	}
+	var keys []string
+	for _, u := range users {
+		for _, k := range []string{"sg:flw:", "sg:fan:", "cnt:", "tl:", "prof:"} {
+			keys = append(keys, k+u)
+		}
+		for n := 1; n <= 64; n++ {
+			keys = append(keys, fmt.Sprintf("post:%s/%d", u, n))
+		}
+	}
+
+	h := sha256.New()
+	for _, prefix := range []string{"social.", "pinned."} {
+		for i := 0; i < len(ops); i += 2 {
+			out, err := p.Invoke(ctx, prefix+ops[i], []byte(ops[i+1]))
+			fmt.Fprintf(h, "%s(%q) = %q, %v\n", ops[i], ops[i+1], out, err)
+		}
+	}
+	dump, err := p.Invoke(ctx, "dump", []byte(strings.Join(keys, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Write(dump)
+	var copied []string
+	for _, k := range keys {
+		if v, ok := copies.m[k]; ok {
+			copied = append(copied, fmt.Sprintf("%s %q", k, v))
+		}
+	}
+	fmt.Fprintf(h, "%s\n", strings.Join(copied, "\n"))
+	s := st.StatsSnapshot()
+	s.Outstanding = 0 // teardown releases may trail the last response
+	counters := fmt.Sprintf("%+v copy read %d write %d", s, copies.stats.ReadBytes.Load(), copies.stats.WriteBytes.Load())
+	fmt.Fprintf(h, "%s\n", counters)
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("social behaviour digest %s, want %s (counters: %s)", got, want, counters)
 	}
 }
