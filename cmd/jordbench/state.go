@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -175,27 +176,37 @@ func diffStats(a, b state.Stats) state.Stats {
 
 // socialPick returns a deterministic weighted social-mix draw for one
 // variant prefix: 60% timeline / 25% post / 10% follow / 5% profile over a
-// small skewed user set, seeded per client.
+// small skewed user set, seeded per client. The draw allocates nothing, so
+// allocs_per_op counts the runtime's allocations, not the generator's:
+// the function names are built once, and each client's payload is rebuilt
+// in place in its own buffer. That is safe because Invoke returns before
+// the client draws again and the social bodies copy what they keep.
 func socialPick(prefix string, clients int) func(c, i int) (string, []byte) {
+	timeline, post, follow, profile := prefix+"timeline", prefix+"post", prefix+"follow", prefix+"profile"
 	rngs := make([]*rand.Rand, clients)
 	zipfs := make([]*rand.Zipf, clients)
+	bufs := make([][]byte, clients)
 	for c := range rngs {
 		rngs[c] = rand.New(rand.NewSource(int64(c + 1)))
 		zipfs[c] = rand.NewZipf(rngs[c], 1.2, 1, 15)
 	}
 	return func(c, i int) (string, []byte) {
 		rng, zipf := rngs[c], zipfs[c]
-		u := fmt.Sprintf("u%d", zipf.Uint64())
+		b := strconv.AppendUint(append(bufs[c][:0], 'u'), zipf.Uint64(), 10)
+		fn := profile
 		switch r := rng.Float64(); {
 		case r < 0.60:
-			return prefix + "timeline", []byte(u)
+			fn = timeline
 		case r < 0.85:
-			return prefix + "post", []byte(fmt.Sprintf("%s musing %d on shared state", u, i))
+			fn = post
+			b = strconv.AppendInt(append(b, " musing "...), int64(i), 10)
+			b = append(b, " on shared state"...)
 		case r < 0.95:
-			return prefix + "follow", []byte(fmt.Sprintf("%s u%d", u, rng.Intn(16)))
-		default:
-			return prefix + "profile", []byte(u)
+			fn = follow
+			b = strconv.AppendInt(append(b, " u"...), int64(rng.Intn(16)), 10)
 		}
+		bufs[c] = b
+		return fn, b
 	}
 }
 

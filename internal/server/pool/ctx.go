@@ -13,7 +13,7 @@ import (
 
 // Ctx is the live programming interface a function body sees — the same
 // Listing 1 surface as the simulator's core.Ctx (call/async/wait over
-// zero-copy ArgBufs), implemented over real goroutines. It is embedded in
+// zero-copy ArgBufs), implemented over coroutines. It is embedded in
 // the continuation (no per-invocation allocation) and satisfies
 // router.Ctx. It must not be retained past the function body's return:
 // the invocation's bookkeeping recycles once the body finishes.
@@ -226,9 +226,10 @@ func (c *Ctx) Wait(ck router.Cookie) ([]byte, error) {
 	cont.mu.Unlock()
 
 	if suspend {
-		// cexit: hand the executor back; it runs other work until the
-		// child completes and readyResume re-centers us. The suspended
-		// window is the span's wait stage, bracketing exec around it.
+		// cexit: yield the executor back; it runs other work until the
+		// child completes and readyResume re-centers us (the executor's
+		// next call returns here). The suspended window is the span's
+		// wait stage, bracketing exec around it.
 		tr := c.pool.tr
 		if tr != nil {
 			r := cont.req
@@ -237,8 +238,7 @@ func (c *Ctx) Wait(ck router.Cookie) ([]byte, error) {
 			r.tMark = now
 		}
 		cont.exec.suspends.Add(1)
-		cont.yieldCh <- struct{}{}
-		<-cont.resumeCh
+		cont.runner.yield(struct{}{})
 		if tr != nil {
 			r := cont.req
 			now := tr.Now()

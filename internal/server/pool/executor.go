@@ -3,6 +3,7 @@ package pool
 import (
 	"context"
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,8 +18,9 @@ import (
 // suspended continuations ready to resume. Resumptions have priority so
 // in-flight work drains before new work starts (§3.4). The executor never
 // blocks inside a function: invocations run as continuations on pooled
-// runner goroutines that hand the "core" back when they finish or suspend
-// on a nested call.
+// runner coroutines, which the executor enters (ccall) and re-enters
+// (center) with one coroutine switch and which hand the "core" straight
+// back when they finish or suspend on a nested call (cexit).
 type executor struct {
 	pool *Pool
 	id   int
@@ -39,9 +41,11 @@ type executor struct {
 	// when the watchdog is enabled, so the default hot path pays nothing.
 	active []*continuation
 
-	// qlen mirrors queue.Len() for the orchestrators' lock-free JBSQ
-	// probes (the live stand-in for the simulator's cross-core queue-
-	// length loads).
+	// qlen is queue.Len() plus the slots dispatchers have reserved but not
+	// yet filled, read by the lock-free JBSQ probes (the live stand-in for
+	// the simulator's cross-core queue-length loads). A dispatcher reserves
+	// under its orchestrator's lock before enqueue, so concurrent
+	// dispatchers never push a queue past the JBSQ bound.
 	qlen atomic.Int32
 
 	started   atomic.Uint64
@@ -55,12 +59,11 @@ func newExecutor(p *Pool, id int) *executor {
 	return e
 }
 
-// enqueue accepts a dispatched request (called by orchestrators, never
-// while holding o.mu and e.mu together).
+// enqueue fills a queue slot a dispatcher reserved in qlen (called with
+// no orchestrator lock held, so o.mu and e.mu are never held together).
 func (e *executor) enqueue(r *request) {
 	e.mu.Lock()
 	e.queue.PushBack(r)
-	e.qlen.Store(int32(e.queue.Len()))
 	e.cond.Signal()
 	e.mu.Unlock()
 }
@@ -102,9 +105,9 @@ func (e *executor) run() {
 		}
 		if idx := e.nextRunnable(); idx >= 0 {
 			r := e.queue.RemoveAt(idx)
-			e.qlen.Store(int32(e.queue.Len()))
+			e.qlen.Add(-1)
 			e.mu.Unlock()
-			// Capacity freed: a stalled orchestrator can dispatch again.
+			// Capacity freed: externals held at the JBSQ bound may dispatch.
 			e.orch.capacityFreed()
 			e.startInvocation(r)
 			e.mu.Lock()
@@ -176,14 +179,14 @@ func (e *executor) nextRunnable() int {
 func (e *executor) requeueFront(r *request) {
 	e.mu.Lock()
 	e.queue.PushFront(r)
-	e.qlen.Store(int32(e.queue.Len()))
+	e.qlen.Add(1)
 	e.mu.Unlock()
 }
 
 // startInvocation is the live Figure 4 flow: initialize the PD (ArgBuf
 // pmove; code regions are global-RX VMAs, the VTE G bit, so no per-
 // invocation code grant is needed), run the continuation on a pooled
-// runner goroutine (ccall), and — if it finishes without suspending —
+// runner coroutine (ccall), and — if it finishes without suspending —
 // tear everything down.
 func (e *executor) startInvocation(r *request) {
 	p := e.pool
@@ -266,12 +269,12 @@ func (e *executor) startInvocation(r *request) {
 		p.sweepableAdd() // the watchdog needs sweeper passes while work runs
 	}
 	e.started.Add(1)
-	// --- Enter the PD (ccall): hand the continuation to a pooled runner
-	// goroutine and lend it the executor until it yields ---
+	// --- Enter the PD (ccall): switch to a pooled runner coroutine, which
+	// runs the body on this executor until it finishes or suspends ---
 	rn := p.getRunner()
 	c.runner = rn
-	rn.work <- c
-	<-c.yieldCh
+	rn.cur = c
+	rn.next()
 	if c.finished {
 		e.finishInvocation(c)
 	}
@@ -282,8 +285,7 @@ func (e *executor) startInvocation(r *request) {
 // resumeContinuation re-enters a suspended continuation (center) after its
 // awaited child completed.
 func (e *executor) resumeContinuation(c *continuation) {
-	c.resumeCh <- struct{}{}
-	<-c.yieldCh
+	c.runner.next()
 	if c.finished {
 		e.finishInvocation(c)
 	}
@@ -323,8 +325,8 @@ func (e *executor) finishInvocation(c *continuation) {
 	// snapshots and open Take transactions (discarded, the Groundhog
 	// rollback) — strictly BEFORE the PD is destroyed: a recycled PD ID
 	// must never inherit grants on store VMAs. Only the body's own runner
-	// appends to holds, and its final yield handshake happens-before this,
-	// so no lock is needed.
+	// appends to holds, and its final yield happens-before this, so no
+	// lock is needed.
 	for i, h := range c.holds {
 		h.ReleaseHold()
 		c.holds[i] = nil
@@ -354,8 +356,8 @@ func (e *executor) finishInvocation(c *continuation) {
 	// Fast path: no un-collected children and no Done watcher means no
 	// other goroutine can be holding (or about to take) c.mu — both fields
 	// are written only by the body's own runner, whose final yield
-	// handshake happens-before this read. The common no-fault invocation
-	// skips the lock entirely.
+	// happens-before this read. The common no-fault invocation skips the
+	// lock entirely.
 	if c.live == 0 && c.stopCh == nil {
 		p.putRunner(c.runner)
 		p.putCont(c)
@@ -399,9 +401,9 @@ func (e *executor) finishInvocation(c *continuation) {
 	runner := c.runner
 	c.mu.Unlock()
 
-	// The runner finished its final yield and is parked on its work
-	// channel again; re-pool it, then recycle the continuation (unless
-	// detached — see above).
+	// The runner made its final yield and waits for its next continuation;
+	// re-pool it, then recycle the continuation (unless detached — see
+	// above).
 	p.putRunner(runner)
 	if !detached {
 		p.putCont(c)
@@ -454,40 +456,44 @@ func (e *executor) flagStuck(cut time.Time) {
 	e.mu.Unlock()
 }
 
-// runner is a parked goroutine that executes continuations. Instead of
-// spawning a goroutine per invocation, executors hand continuations to
-// pooled runners over a channel (park/unpark instead of spawn/exit); a
-// runner whose continuation suspends stays bound to it until the final
-// resume, exactly as the invocation-private goroutine did.
+// runner is a pooled coroutine (iter.Pull) that executes continuations in
+// place of whichever executor switches into it: next runs cur's body
+// (ccall) or resumes it (center) until the body finishes or suspends in
+// Ctx.Wait (cexit, a yield) — one coroutine switch each way, no trip
+// through the scheduler's run queue. A runner whose continuation suspends
+// stays bound to it until the final resume. Pooling the coroutines keeps
+// spawning off the hot path. A body must not call runtime.Goexit: next
+// propagates the coroutine's exit, so it would end the executor as well.
 type runner struct {
-	work chan *continuation
+	cur   *continuation
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 }
 
-// loop executes continuations until the pool closes the work channel.
-// After execute's final yieldCh send, the runner touches nothing of the
-// continuation — the executor re-pools the runner (and recycles the
-// continuation) on its side of the handshake.
-func (rn *runner) loop(p *Pool) {
-	for c := range rn.work {
-		c.execute(p)
-	}
+func newRunner(p *Pool) *runner {
+	rn := &runner{}
+	rn.next, rn.stop = iter.Pull(func(yield func(struct{}) bool) {
+		rn.yield = yield
+		for {
+			rn.cur.execute(p)
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return rn
 }
 
-// continuation is one executing function instance: its runner goroutine,
+// continuation is one executing function instance: its runner coroutine,
 // its protection domain, and its nested-call state — the live analogue of
-// core.Continuation. The yield/resume channels are the cexit/center
-// handshake with the owning executor. Continuations are recycled through
-// a pool; their channels and children slice survive reuse.
+// core.Continuation. Continuations are recycled through a pool; their
+// children and holds slices survive reuse.
 type continuation struct {
 	req    *request
 	exec   *executor
 	pd     PDID
 	runner *runner
-
-	// yieldCh: continuation -> executor, "I finished or suspended".
-	// resumeCh: executor -> continuation, "your child completed, go on".
-	yieldCh  chan struct{}
-	resumeCh chan struct{}
 
 	mu       sync.Mutex
 	waiting  *request   // child currently suspended on
@@ -496,8 +502,8 @@ type continuation struct {
 
 	// holds tracks state handles (snapshots, open transactions) the body
 	// obtained, for force-release at teardown. Appended only by the body's
-	// runner, read by finishInvocation after the final yield handshake —
-	// no lock needed. Capacity recycles with the continuation.
+	// runner, read by finishInvocation after the final yield — no lock
+	// needed. Capacity recycles with the continuation.
 	holds []router.StateHold
 
 	// detached/orphans track teardown with in-flight un-Waited children:
@@ -527,16 +533,16 @@ type continuation struct {
 	ctx Ctx
 }
 
-// execute runs the function body and hands the executor back. A panicking
-// body is caught and surfaced as an invocation error — one function must
-// not take down the worker (the whole point of the paper's isolation).
+// execute runs the function body; the runner then yields the executor
+// back. A panicking body is caught and surfaced as an invocation error —
+// one function must not take down the worker (the whole point of the
+// paper's isolation).
 func (c *continuation) execute(p *Pool) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			c.err = fmt.Errorf("%w: %s: %v", ErrPanicked, c.req.fn.Name, rec)
 		}
 		c.finished = true
-		c.yieldCh <- struct{}{}
 	}()
 	c.ctx.pool = p
 	c.ctx.cont = c

@@ -13,68 +13,58 @@ import (
 // group. Internal (nested) requests have absolute priority and bypass the
 // JBSQ bound — §3.3's deadlock avoidance: a saturated system keeps
 // dispatching the children its suspended parents are waiting on.
+//
+// An orchestrator is a dispatch group, not a goroutine: whoever changes
+// what can be dispatched — a submitter (external or nested) or an
+// executor that just dequeued — runs the dispatch step itself, so a
+// request reaches its executor without waking a dispatcher first.
 type orchestrator struct {
 	pool  *Pool
 	id    int
 	group []*executor
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	extQ   deque[*request]
-	intQ   deque[*request]
-	closed bool
+	mu   sync.Mutex
+	extQ deque[*request]
+	intQ deque[*request]
 
 	// rr rotates the JBSQ scan's starting point so ties spread across the
 	// group instead of always landing on the first executor.
 	rr int
 }
 
-func newOrchestrator(p *Pool, id int) *orchestrator {
-	o := &orchestrator{pool: p, id: id}
-	o.cond = sync.NewCond(&o.mu)
-	return o
-}
-
 // submitExternal enqueues an external request, applying the bounded-queue
-// admission check (ErrSaturated -> the gateway's 429).
+// admission check (ErrSaturated -> the gateway's 429), and dispatches.
 func (o *orchestrator) submitExternal(r *request) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.closed || o.pool.draining.Load() {
+	if o.pool.draining.Load() {
 		return ErrDraining
 	}
 	if o.extQ.Len() >= o.pool.cfg.ExternalQueueCap {
 		return ErrSaturated
 	}
 	o.extQ.PushBack(r)
-	o.cond.Signal()
+	o.dispatch()
 	return nil
 }
 
 // submitInternal enqueues a nested request from a function running on one
-// of this orchestrator's executors. The internal queue is unbounded:
-// rejecting it would deadlock the suspended parent (§3.3).
+// of this orchestrator's executors, and dispatches. The internal queue is
+// unbounded: rejecting it would deadlock the suspended parent (§3.3).
 func (o *orchestrator) submitInternal(r *request) {
 	o.mu.Lock()
 	o.intQ.PushBack(r)
-	o.cond.Signal()
+	o.dispatch()
 	o.mu.Unlock()
 }
 
-// capacityFreed is called by executors after each dequeue: a stalled
-// orchestrator (all queues at the JBSQ bound) re-probes. Signal and Wait
-// both run under o.mu, so the wakeup cannot be lost between the probe and
-// the Wait.
+// capacityFreed is called by executors after each dequeue: externals held
+// back at the JBSQ bound may dispatch now. The dequeue's qlen decrement
+// happens before this takes o.mu, so either a submitter's probe saw the
+// freed slot or this dispatch sees the submitter's queued request.
 func (o *orchestrator) capacityFreed() {
 	o.mu.Lock()
-	o.cond.Signal()
-	o.mu.Unlock()
-}
-
-func (o *orchestrator) close() {
-	o.mu.Lock()
-	o.closed = true
-	o.cond.Broadcast()
+	o.dispatch()
 	o.mu.Unlock()
 }
 
@@ -106,62 +96,43 @@ func (o *orchestrator) sweep(dead []*request, now time.Time) []*request {
 	return dead
 }
 
-// run is the dispatch loop: pick the next request — internal queue first —
-// then JBSQ it into the group. The mutex is held across the probe so an
-// executor's capacityFreed cannot slip between a failed probe and the
-// Wait; it is released around the actual enqueue to keep the executor and
+// dispatch is the dispatch step, called with o.mu held: pick the next
+// request — internal queue first — and JBSQ it into the group, until the
+// queues are empty or every executor is at the bound (internal requests
+// ignore the bound). The chosen slot is reserved in qlen under o.mu, and
+// the lock is released around the actual enqueue to keep the executor and
 // orchestrator locks disjoint (no lock-order cycles).
-func (o *orchestrator) run() {
-	defer o.pool.loops.Done()
-	o.mu.Lock()
+func (o *orchestrator) dispatch() {
 	for {
-		if o.closed && o.intQ.Len() == 0 && o.extQ.Len() == 0 {
-			o.mu.Unlock()
+		q, bound := &o.intQ, int64(math.MaxInt64)
+		if q.Len() == 0 {
+			q, bound = &o.extQ, int64(o.pool.cfg.JBSQBound)
+		}
+		if q.Len() == 0 {
 			return
 		}
-		var r *request
-		internal := false
-		switch {
-		case o.intQ.Len() > 0:
-			r, internal = o.intQ.At(0), true
-		case o.extQ.Len() > 0:
-			r = o.extQ.At(0)
-		default:
-			o.cond.Wait()
-			continue
-		}
-
-		i := o.jbsq(internal)
+		i := o.jbsq(bound)
 		if i < 0 {
-			// Every executor queue is at the bound: wait for a dequeue
-			// (capacityFreed) or a new internal arrival.
-			o.cond.Wait()
-			continue
+			// Every executor queue is at the bound: the next dequeue's
+			// capacityFreed dispatches again.
+			return
 		}
-
-		// Pop from the owning queue, then hand off outside the lock.
-		if internal {
-			o.intQ.PopFront()
-		} else {
-			o.extQ.PopFront()
-		}
+		r, _ := q.PopFront()
+		e := o.group[i]
+		e.qlen.Add(1)
 		o.mu.Unlock()
-		o.group[i].enqueue(r)
+		e.enqueue(r)
 		o.pool.stats.Dispatched.AddShard(o.id, 1)
 		o.mu.Lock()
 	}
 }
 
-// jbsq picks the group member with the shortest queue below the JBSQ
-// bound, or -1; internal requests ignore the bound. The queue lengths are
-// atomic reads — like the simulator's cross-core probe loads, they are
-// racy against concurrent enqueues by other orchestrators, which bounds
-// (not eliminates) queue depth exactly as real JBSQ does.
-func (o *orchestrator) jbsq(internal bool) int {
-	bound := int64(o.pool.cfg.JBSQBound)
-	if internal {
-		bound = math.MaxInt64
-	}
+// jbsq picks the group member with the shortest queue below bound, or -1.
+// The queue lengths are atomic reads — like the simulator's cross-core
+// probe loads, they are racy against executors' concurrent dequeues. Those
+// only shorten a queue (a PD-stall requeue aside), and every other
+// dispatcher into the group reserves under o.mu, so the bound holds.
+func (o *orchestrator) jbsq(bound int64) int {
 	o.rr++
 	return jbsq.Pick(len(o.group), o.rr, func(i int) (int64, int64, bool) {
 		return int64(o.group[i].qlen.Load()), bound, true

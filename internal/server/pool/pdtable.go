@@ -2,15 +2,17 @@
 // paper's worker-server architecture (§3.3/§3.4, Figure 4) from the
 // deterministic simulator (internal/core) onto real goroutines.
 //
-//   - Orchestrator goroutines accept external requests from the HTTP
-//     gateway and internal (nested) requests from executors, and dispatch
-//     both into per-executor bounded queues with JBSQ load balancing.
-//     Internal requests have absolute priority and bypass the JBSQ bound,
-//     the paper's §3.3 deadlock-avoidance design.
+//   - Orchestrators queue external requests from the HTTP gateway and
+//     internal (nested) requests from executors, and dispatch both into
+//     per-executor bounded queues with JBSQ load balancing. Dispatch runs
+//     inline on the submitting goroutine. Internal requests have absolute
+//     priority and bypass the JBSQ bound, the paper's §3.3
+//     deadlock-avoidance design.
 //   - Executor goroutines run each invocation as a suspendable
-//     continuation inside a fresh protection domain: a nested Call
-//     suspends the continuation (cexit) and returns the executor to its
-//     loop, so executors never block on children.
+//     continuation on a runner coroutine inside a fresh protection domain:
+//     a nested Call suspends the continuation (cexit, a coroutine yield)
+//     and returns the executor to its loop, so executors never block on
+//     children.
 //   - Per-invocation ArgBufs are VMAs whose ownership moves between
 //     protection domains with pmove/pcopy, enforced by software permission
 //     checks on the same permission record internal/privlib's VTEs use.
@@ -22,7 +24,7 @@
 // PrivLib's per-core free lists), VMA permissions live in vmatable's
 // permission record — the simulator's own VTE code, a fixed inline
 // sub-array with an overflow list (the Fig. 8 layout) — continuations
-// run on recycled parked goroutines, and per-function statistics shard per
+// run on recycled parked coroutines, and per-function statistics shard per
 // executor. The semantics — who may touch what, in which domain, in what
 // order — are unchanged.
 package pool

@@ -58,9 +58,10 @@ type StateBackend interface {
 // Config sizes one live worker pool. The shape mirrors core.Config: a few
 // orchestrators dispatching into many executors, JBSQ-bounded.
 type Config struct {
-	// Orchestrators is the number of dispatcher goroutines. Executors are
-	// partitioned among them into proximity groups. 0 picks one per 8
-	// executors (minimum 1), matching the simulator's default ratio.
+	// Orchestrators is the number of dispatch groups, each with its own
+	// external and internal queue. Executors are partitioned among them
+	// into proximity groups. 0 picks one per 8 executors (minimum 1),
+	// matching the simulator's default ratio.
 	Orchestrators int
 
 	// Executors is the number of executor goroutines. 0 picks GOMAXPROCS.
@@ -290,11 +291,11 @@ type Pool struct {
 
 	// reqPool and contPool recycle the per-invocation bookkeeping objects
 	// (request structs with their done channels, continuations with their
-	// handshake channels and children slices).
+	// children and holds slices).
 	reqPool  sync.Pool
 	contPool sync.Pool
 
-	// runners holds parked runner goroutines awaiting a continuation.
+	// runners holds parked runner coroutines awaiting a continuation.
 	// Only executor goroutines put runners back, so after the executor
 	// loops exit the channel is quiescent and Drain can empty it.
 	runners chan *runner
@@ -350,7 +351,7 @@ type Pool struct {
 	inflightN atomic.Int64
 	_         [56]byte
 	idleCh    chan struct{}  // cap 1; drain-time zero-crossing signal
-	loops     sync.WaitGroup // orchestrator/executor/sweeper goroutines
+	loops     sync.WaitGroup // executor/sweeper goroutines
 }
 
 // New assembles a pool over a function registry. Start must be called
@@ -379,12 +380,7 @@ func New(cfg Config, reg *router.Registry) *Pool {
 		p.tr = trace.NewRecorder(cfg.Executors)
 	}
 	p.reqPool.New = func() any { return &request{done: make(chan struct{}, 1)} }
-	p.contPool.New = func() any {
-		return &continuation{
-			yieldCh:  make(chan struct{}),
-			resumeCh: make(chan struct{}),
-		}
-	}
+	p.contPool.New = func() any { return new(continuation) }
 	p.runners = make(chan *runner, 4*cfg.Executors+16)
 	p.idleCh = make(chan struct{}, 1)
 	p.sweepKick = make(chan struct{}, 1)
@@ -443,9 +439,8 @@ func (p *Pool) getCont() *continuation {
 	return p.contPool.Get().(*continuation)
 }
 
-// putCont recycles a finished continuation. Its channels are reused (both
-// handshakes complete strictly before recycling); the children slice keeps
-// its capacity. A detached continuation (outstanding orphan children) is
+// putCont recycles a finished continuation; the children slice keeps its
+// capacity. A detached continuation (outstanding orphan children) is
 // recycled by the LAST orphan's finish, never by finishInvocation — the
 // children still lock c.mu through their parent pointers until then.
 func (p *Pool) putCont(c *continuation) {
@@ -470,25 +465,24 @@ func (p *Pool) putCont(c *continuation) {
 	p.contPool.Put(c)
 }
 
-// getRunner pops a parked runner goroutine, or spawns one.
+// getRunner pops a parked runner coroutine, or creates one.
 func (p *Pool) getRunner() *runner {
 	select {
 	case rn := <-p.runners:
 		return rn
 	default:
+		return newRunner(p)
 	}
-	rn := &runner{work: make(chan *continuation, 1)}
-	go rn.loop(p)
-	return rn
 }
 
 // putRunner parks a runner for reuse; if the pool is full, the runner's
-// goroutine is released instead. Called only from executor goroutines.
+// coroutine is stopped instead. Called only from executor goroutines.
 func (p *Pool) putRunner(rn *runner) {
+	rn.cur = nil
 	select {
 	case p.runners <- rn:
 	default:
-		close(rn.work)
+		rn.stop()
 	}
 }
 
@@ -518,8 +512,8 @@ func (p *Pool) StartedAt() time.Time { return p.startAt }
 // submissions are refused with ErrDegraded (0 = tiered shedding disabled).
 func (p *Pool) ShedThreshold() int { return p.shedThr }
 
-// Start freezes the registry, loads every function's code VMA, and launches
-// the orchestrator and executor goroutines.
+// Start freezes the registry, loads every function's code VMA, builds the
+// dispatch groups, and launches the executor goroutines.
 func (p *Pool) Start() {
 	if !p.started.CompareAndSwap(false, true) {
 		return
@@ -557,7 +551,7 @@ func (p *Pool) Start() {
 		p.execs = append(p.execs, newExecutor(p, i))
 	}
 	for i := 0; i < p.cfg.Orchestrators; i++ {
-		p.orchs = append(p.orchs, newOrchestrator(p, i))
+		p.orchs = append(p.orchs, &orchestrator{pool: p, id: i})
 	}
 	// Partition executors among orchestrators round-robin (the simulator
 	// balances group sizes the same way; there is no mesh distance to
@@ -582,10 +576,6 @@ func (p *Pool) Start() {
 	for _, e := range p.execs {
 		p.loops.Add(1)
 		go e.run()
-	}
-	for _, o := range p.orchs {
-		p.loops.Add(1)
-		go o.run()
 	}
 	p.sweepStop = make(chan struct{})
 	if p.cfg.SweepInterval > 0 {
@@ -977,7 +967,7 @@ func (p *Pool) Draining() bool { return p.draining.Load() }
 
 // Drain stops accepting external requests, waits for all in-flight work
 // (including nested calls) to complete, then shuts the loops and parked
-// runner goroutines down. It returns ctx.Err() if the context expires
+// runner coroutines down. It returns ctx.Err() if the context expires
 // first, leaving the loops running so stragglers still complete.
 func (p *Pool) Drain(ctx context.Context) error {
 	p.draining.Store(true)
@@ -994,17 +984,14 @@ func (p *Pool) Drain(ctx context.Context) error {
 			return ctx.Err()
 		}
 	}
-	// The sweeper stops with the dispatch loops: external work has
-	// drained, and the orchestrator/executor loops run their remaining
-	// (internal, orphan) queues to empty without it.
+	// The sweeper stops with the executor loops: external work has
+	// drained, and the executors run their remaining (internal, orphan)
+	// queues to empty without it.
 	p.drainOnce.Do(func() {
 		if p.sweepStop != nil {
 			close(p.sweepStop)
 		}
 	})
-	for _, o := range p.orchs {
-		o.close()
-	}
 	for _, e := range p.execs {
 		e.close()
 	}
@@ -1013,11 +1000,11 @@ func (p *Pool) Drain(ctx context.Context) error {
 	// VerifyIdle) sees the exact physical supply.
 	p.tab.reclaimCredits()
 	// Only executor goroutines park runners; with the loops gone the
-	// channel is quiescent and every parked runner can be released.
+	// channel is quiescent and every parked runner can be stopped.
 	for {
 		select {
 		case rn := <-p.runners:
-			close(rn.work)
+			rn.stop()
 		default:
 			return nil
 		}

@@ -302,6 +302,65 @@ func TestInvokeZeroAllocWithTracing(t *testing.T) {
 	}
 }
 
+// TestNestedZeroAllocWithTracing extends the gate to the suspend/resume
+// path: a chain (one Call) and a fan-out (two Asyncs, two Waits) — child
+// dispatch, cexit, center and child collection, with tracing ON — allocate
+// nothing once the recycle pools and runner coroutines are warm.
+func TestNestedZeroAllocWithTracing(t *testing.T) {
+	if race {
+		t.Skip("race instrumentation allocates")
+	}
+	p := startPool(t, Config{Executors: 2, Orchestrators: 1}, func(reg *router.Registry) {
+		reg.MustRegister("leaf", func(ctx router.Ctx) ([]byte, error) {
+			return ctx.Payload(), nil
+		})
+		reg.MustRegister("chain", func(ctx router.Ctx) ([]byte, error) {
+			return ctx.Call("leaf", ctx.Payload())
+		})
+		reg.MustRegister("fanout", func(ctx router.Ctx) ([]byte, error) {
+			ck1, err := ctx.Async("leaf", ctx.Payload())
+			if err != nil {
+				return nil, err
+			}
+			ck2, err := ctx.Async("leaf", ctx.Payload())
+			if err != nil {
+				return nil, err
+			}
+			if _, err := ctx.Wait(ck1); err != nil {
+				return nil, err
+			}
+			return ctx.Wait(ck2)
+		})
+	})
+	if p.Trace() == nil {
+		t.Fatal("tracing must be on for this gate")
+	}
+	ctx := context.Background()
+	payload := []byte("alloc-gate-payload")
+	for _, fn := range []string{"chain", "fanout"} {
+		for i := 0; i < 2000; i++ { // warm every pool, ring and runner
+			if _, err := p.Invoke(ctx, fn, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const n = 5000
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if _, err := p.Invoke(ctx, fn, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perOp := float64(after.Mallocs-before.Mallocs) / n
+		t.Logf("%s allocs/op with tracing: %.4f", fn, perOp)
+		if perOp > 0.02 {
+			t.Errorf("%s with tracing allocates %.4f/op (want <= 0.02)", fn, perOp)
+		}
+	}
+}
+
 // TestTraceIntervalStageAccumulation checks += semantics: a span that
 // requeues (PD stall) accrues queue time rather than overwriting it. The
 // cheap proxy: hammer a tiny-PD pool and require every completed span's
