@@ -91,9 +91,18 @@ func TestFireAndForgetAsyncPanic(t *testing.T) {
 }
 
 // Wait called after the inherited deadline passed must fail immediately
-// with DeadlineExceeded and cascade cancellation to the outstanding child
+// with the request's cancellation and cascade it to the outstanding child
 // (which then unwinds cooperatively) — no PD may stay held.
+//
+// The order is fixed by handshakes, not sleeps: the leaf polls until the
+// deadline passes and finishes expired; the parent body calls Wait only
+// once the caller's Invoke has returned DeadlineExceeded (so the request
+// is already abandoned) and the leaf's expiry has been counted.
 func TestWaitAfterDeadline(t *testing.T) {
+	abandoned := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(abandoned) }) }
+	defer release() // a failed assertion must not strand the parent body
 	p := startPool(t, Config{Executors: 2, Orchestrators: 1}, func(reg *router.Registry) {
 		reg.MustRegister("leaf", func(ctx router.Ctx) ([]byte, error) {
 			for ctx.Err() == nil {
@@ -106,11 +115,10 @@ func TestWaitAfterDeadline(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			dl, ok := ctx.Deadline()
-			if !ok {
+			if _, ok := ctx.Deadline(); !ok {
 				return nil, errors.New("no inherited deadline")
 			}
-			time.Sleep(time.Until(dl) + 10*time.Millisecond)
+			<-abandoned
 			return ctx.Wait(ck)
 		})
 	})
@@ -120,11 +128,12 @@ func TestWaitAfterDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
-	waitFor(t, "cascade teardown", func() bool { return p.Table().LivePDs() == 0 })
 	// The counters land in finish, which may trail the PD release: poll.
 	st := p.Stats()
-	waitFor(t, "parent expiry counted", func() bool { return st.Expired.Load() > 0 })
-	waitFor(t, "leaf cancellation counted", func() bool { return st.Canceled.Load() > 0 })
+	waitFor(t, "leaf expiry counted", func() bool { return st.Expired.Load() > 0 })
+	release()
+	waitFor(t, "cascade teardown", func() bool { return p.Table().LivePDs() == 0 })
+	waitFor(t, "parent cancellation counted", func() bool { return st.Canceled.Load() > 0 })
 }
 
 // Drain racing a stampede of Invokes: every request either completes

@@ -30,10 +30,17 @@ type VMA struct {
 // its permission state is always empty on return.
 func (t *Table) NewVMA(owner PDID, data []byte, perm Perm) *VMA {
 	v := vmaPool.Get().(*VMA)
+	t.InitVMA(v, owner, data, perm)
+	return v
+}
+
+// InitVMA is NewVMA for a VMA embedded by value in a longer-lived
+// structure (the state store's entries): it readies v in place, and the
+// VMA ends with Retire, never Free.
+func (t *Table) InitVMA(v *VMA, owner PDID, data []byte, perm Perm) {
 	v.table = t
 	v.data = data
 	v.perms.SetPerm(owner, perm)
-	return v
 }
 
 // NewGlobalVMA allocates a buffer every PD holds perm on (the VTE G bit) —
@@ -63,22 +70,29 @@ func putVMA(v *VMA) {
 // structure recycles; prior Read aliases stay valid (recycling never
 // reuses a data slice).
 func (v *VMA) Free(owner PDID) error {
-	v.mu.Lock()
-	if v.perms.Global != vmatable.PermNone {
-		err := v.table.fault(&Fault{Op: "free", PD: owner,
-			Detail: fmt.Sprintf("VMA still global %v", v.perms.Global)})
-		v.mu.Unlock()
+	if err := v.Retire(owner); err != nil {
 		return err
+	}
+	putVMA(v)
+	return nil
+}
+
+// Retire is Free for an embedded VMA (InitVMA): the same checks, but the
+// structure is never recycled — its memory belongs to the structure that
+// embeds it, which may outlive the VMA, so handing it out again would
+// give two owners one permission record.
+func (v *VMA) Retire(owner PDID) error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.perms.Global != vmatable.PermNone {
+		return v.table.fault(&Fault{Op: "free", PD: owner,
+			Detail: fmt.Sprintf("VMA still global %v", v.perms.Global)})
 	}
 	_, owned := v.perms.Own(owner)
 	if sharers := v.perms.NumSharers(); !owned || sharers != 1 {
-		err := v.table.fault(&Fault{Op: "free", PD: owner,
+		return v.table.fault(&Fault{Op: "free", PD: owner,
 			Detail: fmt.Sprintf("%d sharers, owner held=%v", sharers, owned)})
-		v.mu.Unlock()
-		return err
 	}
-	v.mu.Unlock()
-	putVMA(v)
 	return nil
 }
 

@@ -58,9 +58,10 @@ func TestGetFastPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestGetGrantedPathZeroAlloc pins the steady-state pcopy path too: after
-// the first grant the per-PD permission slot and the grants-map bucket both
-// recycle, so repeated snapshot/release cycles do not allocate either.
+// TestGetGrantedPathZeroAlloc pins the steady-state pcopy path too: the
+// per-PD permission slot recycles and the grant is counted in one of the
+// entry's inline slots, so repeated snapshot/release cycles do not
+// allocate either.
 func TestGetGrantedPathZeroAlloc(t *testing.T) {
 	tab := pool.NewTable(16)
 	st, err := New(Config{PromoteAfter: -1}, tab) // promotion off: always the granted path
@@ -81,7 +82,7 @@ func TestGetGrantedPathZeroAlloc(t *testing.T) {
 	if _, err := st.Put(pd, "", router.StateGlobal, "k", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	// Warm the grants map and handle pool once.
+	// Warm the handle pool once.
 	sn, err := st.Get(pd, "", router.StateGlobal, "k")
 	if err != nil {
 		t.Fatal(err)

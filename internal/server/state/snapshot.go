@@ -48,9 +48,7 @@ func (sn *snapshot) Release() {
 	}
 	s, e := sn.store, sn.entry
 	e.mu.Lock()
-	e.grants[sn.pd]--
-	if e.grants[sn.pd] == 0 {
-		delete(e.grants, sn.pd)
+	if e.grants.sub(sn.pd) {
 		// The grant pmoves back rather than being dropped: StatePD reabsorbs
 		// the R it copied out, and the reader PD's slot clears — a recycled
 		// PD ID must inherit nothing.
@@ -62,7 +60,7 @@ func (sn *snapshot) Release() {
 	s.outstanding.Add(-1)
 	if free {
 		// Last handle on a deleted key retires its VMA.
-		_ = e.v.Free(s.pd)
+		_ = e.v.Retire(s.pd)
 	}
 }
 

@@ -103,29 +103,107 @@ type pub struct {
 	version uint64
 }
 
-// entry is one key's state. The VMA is allocated at entry creation and
-// lives until the entry dies; commits replace its contents in place
-// (VMA.Write swaps the backing slice), so snapshot aliases handed out
-// earlier keep reading the version they saw.
+// entry is one key's state, in one heap object: the value VMA is embedded
+// by value and the read grants are counted inline. The VMA is readied at
+// entry creation and retired (never recycled) when the entry dies; commits
+// replace its contents in place (VMA.Write swaps the backing slice), so
+// snapshot aliases handed out earlier keep reading the version they saw.
 type entry struct {
 	mu sync.Mutex
 
-	v       *pool.VMA
+	v       pool.VMA
 	bytes   []byte // committed contents (alias of what v holds)
 	version uint64
 
-	taken   bool                 // exclusive owner exists
-	takenBy pool.PDID            // the owner (diagnostics)
-	refs    int                  // outstanding handles: granted snapshots + open tx
-	reads   int                  // snapshot reads since last write (promotion trigger)
-	grants  map[pool.PDID]uint32 // outstanding pcopy R grants per reader PD
+	taken   bool      // exclusive owner exists
+	takenBy pool.PDID // the owner (diagnostics)
+	refs    int       // outstanding handles: granted snapshots + open tx
+	reads   int       // snapshot reads since last write (promotion trigger)
+	grants  grantSet  // outstanding pcopy R grants per reader PD
 
 	promoted bool // G bit set on v
-	dead     bool // deleted; VMA freed when refs drains to 0
+	dead     bool // deleted; VMA retired when refs drains to 0
 
 	// published is non-nil while the key is globally promoted — the Get
 	// fast path. Swung to nil (before the G-bit demotion) by any write.
 	published atomic.Pointer[pub]
+}
+
+// grantSet counts the outstanding pcopy R grants per reader PD. Two
+// inline (PD, count) slots cover a key read by one or two invocations at
+// a time; a third concurrent reader PD spills to a map. A PD is counted
+// in exactly one place. Guarded by the entry's mutex.
+type grantSet struct {
+	pd    [2]pool.PDID
+	n     [2]uint32 // 0 marks a free slot
+	spill map[pool.PDID]uint32
+}
+
+// count returns pd's outstanding grants.
+func (g *grantSet) count(pd pool.PDID) uint32 {
+	for i := range g.pd {
+		if g.n[i] != 0 && g.pd[i] == pd {
+			return g.n[i]
+		}
+	}
+	return g.spill[pd]
+}
+
+// add counts one more grant for pd.
+func (g *grantSet) add(pd pool.PDID) {
+	free := -1
+	for i := range g.pd {
+		switch {
+		case g.n[i] == 0:
+			if free < 0 {
+				free = i
+			}
+		case g.pd[i] == pd:
+			g.n[i]++
+			return
+		}
+	}
+	if n, ok := g.spill[pd]; ok {
+		g.spill[pd] = n + 1
+		return
+	}
+	if free >= 0 {
+		g.pd[free], g.n[free] = pd, 1
+		return
+	}
+	if g.spill == nil {
+		g.spill = make(map[pool.PDID]uint32, 2)
+	}
+	g.spill[pd] = 1
+}
+
+// sub drops one of pd's grants, which must exist, and reports whether it
+// was pd's last.
+func (g *grantSet) sub(pd pool.PDID) (last bool) {
+	for i := range g.pd {
+		if g.n[i] != 0 && g.pd[i] == pd {
+			g.n[i]--
+			return g.n[i] == 0
+		}
+	}
+	n := g.spill[pd] - 1
+	if n == 0 {
+		delete(g.spill, pd)
+		return true
+	}
+	g.spill[pd] = n
+	return false
+}
+
+// holders returns how many PDs hold grants.
+func (g *grantSet) holders() int {
+	n := len(g.spill)
+	for _, c := range g.n {
+		if c != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 const numShards = 16
@@ -256,7 +334,8 @@ func (s *Store) Get(pd pool.PDID, fn string, scope router.StateScope, key string
 		e.mu.Unlock()
 		return sn, nil
 	}
-	if e.grants[pd] == 0 {
+	first := e.grants.count(pd) == 0
+	if first {
 		if err := e.v.Pcopy(s.pd, pd, vmatable.PermR); err != nil {
 			e.mu.Unlock()
 			return nil, err
@@ -264,16 +343,13 @@ func (s *Store) Get(pd pool.PDID, fn string, scope router.StateScope, key string
 	}
 	b, err := e.v.Read(pd) // the checked read the grant exists for
 	if err != nil {
-		if e.grants[pd] == 0 {
+		if first {
 			_ = e.v.Pmove(pd, s.pd, vmatable.PermR)
 		}
 		e.mu.Unlock()
 		return nil, err
 	}
-	if e.grants == nil {
-		e.grants = make(map[pool.PDID]uint32, 4)
-	}
-	e.grants[pd]++
+	e.grants.add(pd)
 	e.refs++
 	e.reads++
 	if s.cfg.PromoteAfter > 0 && !e.promoted && e.reads >= s.cfg.PromoteAfter {
@@ -308,7 +384,8 @@ func (s *Store) getOrCreate(k mapKey) (e *entry, created bool) {
 		if e == nil {
 			sh.mu.Lock()
 			if e = sh.m[k]; e == nil {
-				e = &entry{v: s.tab.NewVMA(s.pd, nil, vmatable.PermRW)}
+				e = &entry{}
+				s.tab.InitVMA(&e.v, s.pd, nil, vmatable.PermRW)
 				e.mu.Lock()
 				sh.m[k] = e
 				sh.mu.Unlock()
@@ -359,7 +436,7 @@ func (s *Store) Take(pd pool.PDID, fn string, scope router.StateScope, key strin
 		e.mu.Unlock()
 		return nil, ErrTaken
 	}
-	if e.grants[pd] > 0 {
+	if e.grants.count(pd) != 0 {
 		e.mu.Unlock()
 		return nil, ErrConflict
 	}
@@ -401,7 +478,7 @@ func (s *Store) Put(pd pool.PDID, fn string, scope router.StateScope, key string
 		e.mu.Unlock()
 		return 0, ErrTaken
 	}
-	if e.grants[pd] > 0 {
+	if e.grants.count(pd) != 0 {
 		e.mu.Unlock()
 		return 0, ErrConflict
 	}
@@ -462,7 +539,7 @@ func (s *Store) Delete(pd pool.PDID, fn string, scope router.StateScope, key str
 	n := int64(len(e.bytes))
 	e.mu.Unlock()
 	if free {
-		_ = e.v.Free(s.pd)
+		_ = e.v.Retire(s.pd)
 	}
 	s.bytes.Add(-n)
 	s.entries.Add(-1)
@@ -529,7 +606,7 @@ func (s *Store) VerifyIdle() error {
 		sh.mu.RLock()
 		for k, e := range sh.m {
 			e.mu.Lock()
-			taken, refs, ng := e.taken, e.refs, len(e.grants)
+			taken, refs, ng := e.taken, e.refs, e.grants.holders()
 			e.mu.Unlock()
 			if taken || refs != 0 || ng != 0 {
 				sh.mu.RUnlock()
@@ -543,9 +620,9 @@ func (s *Store) VerifyIdle() error {
 }
 
 // Close shuts the store down after the pool has drained: every entry VMA
-// is freed and the store's protection domain returns to the table, so the
+// is retired and the store's protection domain returns to the table, so the
 // table's post-drain VerifyIdle holds again. Outstanding handles at Close
-// are a lifecycle bug and surface as faults from VMA.Free.
+// are a lifecycle bug and surface as faults from VMA.Retire.
 func (s *Store) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
@@ -567,7 +644,7 @@ func (s *Store) Close() error {
 				}
 				continue
 			}
-			if err := e.v.Free(s.pd); err != nil && firstErr == nil {
+			if err := e.v.Retire(s.pd); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}

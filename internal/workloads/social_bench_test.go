@@ -127,3 +127,31 @@ func BenchmarkSocialMix(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSocialLists times the two list updates on their largest
+// stored lists: a follow of an edge that already exists, found at the end
+// of a 2,047-entry follow list, and a post pushed onto a full timeline.
+func BenchmarkSocialLists(b *testing.B) {
+	var flw []byte
+	for i := 0; i < 2047; i++ {
+		flw = addLine(flw, "u"+strconv.Itoa(i))
+	}
+	var tl []byte
+	for i := 0; i < timelineCap; i++ {
+		tl = prependTimeline(tl, "u"+strconv.Itoa(i)+"/"+strconv.Itoa(i))
+	}
+	b.Run("addLine-dup-2047", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if out := addLine(flw, "u2046"); len(out) != len(flw) {
+				b.Fatal("duplicate follow grew the list")
+			}
+		}
+	})
+	b.Run("prependLine-32", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			prependTimeline(tl, "u9/99")
+		}
+	})
+}

@@ -81,8 +81,33 @@ func FuzzSocialLists(f *testing.F) {
 		{"12x", "", 32},
 		{"+7", "", 32},
 		{"41", "41", 32},
+		// A '\n\n' at the cut, inside a word and across two.
+		{"ab\n\ncd", "x", 2},
+		{"ab\n\ncd", "x", 3},
+		{"abcdefg\n\nhij", "x", 3},
+		{"a\nb\n", "x", 32},
+		{"\na\nb", "x", 2},
+		// 0x7F, 0x80, U+0085 and U+00A0 straddling a word boundary.
+		{"abcdefg\x7fh\ni", "h", 2},
+		{"abcdefg\x80h\ni", "i", 2},
+		{"abcdefg\u0085h\ni", "h", 3},
+		{"abcdef\n\u00a0h\ni", "h", 3},
+		// line inside a longer field, and at either end of the list.
+		{"u123\nu4", "u12", 32},
+		{"xu12\nu4", "u12", 32},
+		{"u12\nu4", "u12", 32},
+		{"u4\nu12", "u12", 32},
+		{"u4\u0085u12", "u12", 32},
+		{"u4\xc2u12", "u12", 32},
+		// A line that is not one field of bytes 0x21–0x7F, and one with 0x7F.
+		{"a b", "a b", 32},
+		{"a\x7f b", "a\x7f", 32},
 	} {
 		f.Add([]byte(seed.old), seed.line, seed.max)
+	}
+	// The cut on each byte of the first and second 8-byte word.
+	for cut := 1; cut < 16; cut++ {
+		f.Add([]byte(strings.Repeat("a", cut)+"\nbb\ncc"), "x", uint8(2))
 	}
 	f.Fuzz(func(t *testing.T, old []byte, line string, max uint8) {
 		var fields [][]byte

@@ -1,9 +1,11 @@
 package workloads
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"strconv"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"sync/atomic"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 
 	"jord/internal/server/router"
 	"jord/internal/server/state"
@@ -40,7 +43,10 @@ import (
 // they build, the values they commit (one per updated key), the post body
 // they store and the response. A follow of an edge that already exists
 // allocates the same whether the user follows four others or two thousand
-// (TestSocialFollowAllocsFlat).
+// (TestSocialFollowAllocsFlat). Neither list update decodes a list rune
+// by rune: a follow looks its user name up as a substring (hasField), and
+// a fan-out finds the timeline's kept prefix eight bytes at a time
+// (listPrefix) and copies it as one slice.
 
 // Live social functions and their payloads (whitespace-separated tokens):
 //
@@ -429,11 +435,19 @@ func bumpCount(old []byte, _ string) []byte {
 }
 
 // addLine appends line to a newline-separated set if absent; when it is
-// present it returns old itself.
+// present it returns old itself. A line that is one field of bytes
+// 0x21–0x7F — every user name the social bodies build — is looked up as a
+// substring (hasField); any other line is compared field by field.
 func addLine(old []byte, line string) []byte {
-	for f, rest := nextField(old); f != nil; f, rest = nextField(rest) {
-		if string(f) == line {
+	if isWord(line) {
+		if hasField(old, line) {
 			return old
+		}
+	} else {
+		for f, rest := nextField(old); f != nil; f, rest = nextField(rest) {
+			if string(f) == line {
+				return old
+			}
 		}
 	}
 	out := make([]byte, 0, len(old)+len(line)+1)
@@ -445,10 +459,64 @@ func addLine(old []byte, line string) []byte {
 	return out
 }
 
+// isWord reports whether s is nonempty and all bytes 0x21–0x7F: one field
+// to strings.Fields, and a run of whole runes wherever it appears in a
+// list (an ASCII byte is never part of a multi-byte UTF-8 sequence, valid
+// or not).
+func isWord(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c <= ' ' || c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return s != ""
+}
+
+// hasField reports whether word (isWord) is one of old's fields: an
+// occurrence of it whose neighbouring runes, if any, are space by
+// strings.Fields' rule.
+func hasField(old []byte, word string) bool {
+	// strings.Index over a string view of old: the view is only read, and
+	// it does not outlive the call.
+	s := unsafe.String(unsafe.SliceData(old), len(old))
+	for i := 0; ; {
+		j := strings.Index(s[i:], word)
+		if j < 0 {
+			return false
+		}
+		start, end := i+j, i+j+len(word)
+		if spaceBefore(old[:start]) && (end == len(old) || skipRunes(old, end, true) > end) {
+			return true
+		}
+		i = start + 1
+	}
+}
+
+// spaceBefore reports whether b is empty or ends in a space rune.
+func spaceBefore(b []byte) bool {
+	if len(b) == 0 {
+		return true
+	}
+	if c := b[len(b)-1]; c < utf8.RuneSelf {
+		return asciiSpace[c]
+	}
+	r, _ := utf8.DecodeLastRune(b)
+	return unicode.IsSpace(r)
+}
+
 // prependLine pushes line onto a newline list, newest first, capped at max.
 // Every field of old takes at most its own length plus one separator, so
-// the one allocation is the result.
+// the one allocation is the result. A list that opens with its first
+// max−1 fields in canonical form (listPrefix) is copied as one slice.
 func prependLine(old []byte, line string, max int) []byte {
+	if max > 1 {
+		if cut, ok := listPrefix(old, max-1); ok {
+			out := make([]byte, 0, len(line)+1+cut)
+			out = append(out, line...)
+			out = append(out, '\n')
+			return append(out, old[:cut]...)
+		}
+	}
 	out := make([]byte, 0, len(old)+len(line)+1)
 	out = append(out, line...)
 	kept := 1
@@ -458,6 +526,59 @@ func prependLine(old []byte, line string, max int) []byte {
 		kept++
 	}
 	return out
+}
+
+// Byte-lane constants for listPrefix's eight-bytes-at-a-time scan.
+const (
+	lanes7F = 0x7f7f7f7f7f7f7f7f
+	lanes80 = 0x8080808080808080
+	lanesNL = 0x0a0a0a0a0a0a0a0a
+	lanes5F = 0x5f5f5f5f5f5f5f5f // 0x80 − 0x21: carries into bit 7 from 0x21 up
+)
+
+// listPrefix reports whether old opens with k ≥ 1 fields (or all of its
+// fields, if it has fewer) written canonically: each field bytes
+// 0x21–0x7F, joined by single '\n', with nothing before the first. cut
+// is then where the k-th field ends, so old[:cut] is exactly those fields
+// joined by '\n' — what the field-by-field loop would rebuild. It reads
+// old a word at a time and stops at the k-th separator.
+func listPrefix(old []byte, k int) (cut int, ok bool) {
+	prevNL := uint64(1) // a '\n' at old[0] would open an empty field
+	for i := 0; i < len(old); i += 8 {
+		var w uint64
+		if len(old)-i >= 8 {
+			w = binary.LittleEndian.Uint64(old[i:])
+		} else {
+			// The tail, padded with a field byte that ends nothing.
+			pad := [8]byte{'x', 'x', 'x', 'x', 'x', 'x', 'x', 'x'}
+			copy(pad[:], old[i:])
+			w = binary.LittleEndian.Uint64(pad[:])
+		}
+		x := w ^ lanesNL
+		nl := ^((x&lanes7F + lanes7F) | x | lanes7F) // bit 7 of each '\n' lane
+		low := ^(w&lanes7F + lanes5F) & lanes80      // bit 7 of each lane below 0x21 (of its low 7 bits)
+		n := bits.OnesCount64(nl)
+		var kth uint64 // bit 7 of the k-th '\n' lane, if this word holds it
+		keep := ^uint64(0)
+		if n >= k {
+			kth = nl
+			for j := 1; j < k; j++ {
+				kth &= kth - 1
+			}
+			kth &= -kth
+			keep = kth | (kth - 1) // the lanes up to and including it
+			nl &= keep
+		}
+		if w&lanes80&keep != 0 || low&keep != nl || nl&(nl<<8|prevNL<<7) != 0 {
+			return 0, false // a byte outside 0x21–0x7F, or an empty field
+		}
+		if kth != 0 {
+			return i + bits.TrailingZeros64(kth)/8, true
+		}
+		k -= n
+		prevNL = nl >> 63
+	}
+	return len(old), len(old) > 0 && old[len(old)-1] != '\n'
 }
 
 // prependTimeline is the fan-out's update: id onto a capped timeline.
