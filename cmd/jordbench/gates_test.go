@@ -135,33 +135,3 @@ func TestClusterGates(t *testing.T) {
 		}
 	}
 }
-
-func TestStateGates(t *testing.T) {
-	pass := func() stateReport {
-		var r stateReport
-		r.Scenarios = []stateResult{
-			{Name: "state_get", result: result{AllocsPerOp: 0.1}},
-			{Name: "state_get_global_ro", result: result{AllocsPerOp: 0.1}},
-			{Name: "social_copy", result: result{AllocsPerOp: 40}},
-		}
-		r.Comparison.ReductionOK = true
-		return r
-	}
-	cases := []struct {
-		name   string
-		mutate func(*stateReport)
-		want   bool
-	}{
-		{"pass", func(*stateReport) {}, true},
-		{"granted read allocates", func(r *stateReport) { r.Scenarios[0].AllocsPerOp = 0.6 }, false},
-		{"promoted read allocates", func(r *stateReport) { r.Scenarios[1].AllocsPerOp = 0.6 }, false},
-		{"copy reduction", func(r *stateReport) { r.Comparison.ReductionOK = false }, false},
-	}
-	for _, tc := range cases {
-		r := pass()
-		tc.mutate(&r)
-		if got := checkStateGates(r); got != tc.want {
-			t.Errorf("%s: checkStateGates = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}

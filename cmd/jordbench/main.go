@@ -6,13 +6,13 @@
 //
 //	jordbench [-mode sim] -workload hotel -system jord -loads 1,2,4,6 [-measure 5000]
 //	          [-warmup 300] [-seed 1] [-trials 1]
-//	jordbench -mode live|cluster|state [-out BENCH_<mode>.json] [-requests N]
+//	jordbench -mode live|cluster [-out BENCH_<mode>.json] [-requests N]
 //	          [-clients N] [-sweep 1,2,4] [-gate]
 //
 // Loads are in MRPS. Systems: jord | jordni | jordbt | nightcore.
 // -trials > 1 runs independent seeds per point and adds 95% CIs.
 //
-// The live, cluster and state modes share one closed-loop driver:
+// The live and cluster modes share one closed-loop driver:
 // -clients goroutines issue -requests calls back to back, after an
 // unmeasured warm-up window, and each mode writes its JSON report to
 // -out ('-' = stdout). A flag left unset takes the mode's default:
@@ -20,7 +20,6 @@
 //	mode     -requests  -clients  -sweep
 //	live     50000      16        1,2,4,8,16,32
 //	cluster  20000      16        1,2,4
-//	state    30000      16        (none)
 //
 // -mode live measures the live pool (internal/server/pool): throughput,
 // latency percentiles and whole-process allocations per request for an
@@ -36,11 +35,6 @@
 // and measures echo end to end — client → dispatcher → worker → back —
 // writing the 1→N scaling curve.
 //
-// -mode state measures the shared-state tier: the granted (pcopy R) and
-// promoted (VTE G bit) snapshot read paths, exclusive-ownership
-// read-modify-writes, and the stateful social-network mix against a
-// copy-per-request baseline.
-//
 // A sweep reports each point's speedup over its first point and its
 // efficiency, the speedup over the growth in effective cores
 // (min(cores, num_cpu)), so a sweep on a small box reads honestly.
@@ -50,9 +44,8 @@
 // efficiency at least 0.70 at the largest point the machine can
 // parallelize, and a 4-core point at least 2x the 1-core point. cluster:
 // no dispatcher rejections or retries under the sized load, and 2-worker
-// efficiency at least 0.55. state: snapshot reads at most 0.5 allocs/op,
-// and at least 2x fewer copied bytes than the baseline. A gate the
-// machine has too few CPUs for logs "skipped".
+// efficiency at least 0.55. A gate the machine has too few CPUs for logs
+// "skipped".
 package main
 
 import (
@@ -123,7 +116,6 @@ var modeDefaults = map[string]struct {
 }{
 	"live":    {50000, 16, "1,2,4,8,16,32"},
 	"cluster": {20000, 16, "1,2,4"},
-	"state":   {30000, 16, ""},
 }
 
 // parseCounts parses a -sweep list of positive integers; "" is no sweep.
@@ -144,7 +136,7 @@ func parseCounts(s string) ([]int, error) {
 
 func main() {
 	var (
-		mode     = cliutil.NewChoice("sim", "sim", "live", "cluster", "state")
+		mode     = cliutil.NewChoice("sim", "sim", "live", "cluster")
 		workload = cliutil.NewChoice("hipster", "hipster", "hotel", "media", "social")
 		system   = cliutil.NewChoice("jord", "jord", "jordni", "jordbt", "nightcore")
 		loads    = flag.String("loads", "1,2,4,8", "comma-separated offered loads in MRPS")
@@ -205,8 +197,6 @@ func main() {
 		passed = runLive(*out, *requests, *clients, counts, *gate)
 	case "cluster":
 		passed = runCluster(*out, *requests, *clients, counts, *gate)
-	case "state":
-		passed = runState(*out, *requests, *clients, *gate)
 	}
 	if !passed {
 		os.Exit(1)

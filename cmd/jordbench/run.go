@@ -7,8 +7,8 @@ import (
 	"jord/internal/metrics"
 )
 
-// result is one closed-loop measurement window. liveResult and
-// stateResult embed it, so its keys sit at the top level of their rows.
+// result is one closed-loop measurement window. liveResult embeds it, so
+// its keys sit at the top level of its rows.
 type result struct {
 	Requests int `json:"requests"`
 	Workers  int `json:"workers"`

@@ -155,7 +155,8 @@ func BenchmarkVMAPermCheck(b *testing.B) {
 }
 
 // BenchmarkVMALifecycle measures allocating a fresh ArgBuf, transferring it
-// through an invocation PD, and releasing it — the per-request VMA churn.
+// through an invocation PD, and freeing it — the per-request VMA churn,
+// recycled as the product's ArgBuf path recycles it.
 func BenchmarkVMALifecycle(b *testing.B) {
 	tab := NewTable(4096)
 	payload := []byte("benchmark-payload")
@@ -171,6 +172,9 @@ func BenchmarkVMALifecycle(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := v.Pmove(pd, vmatable.ExecutorPD, vmatable.PermRW); err != nil {
+			b.Fatal(err)
+		}
+		if err := v.Free(vmatable.ExecutorPD); err != nil {
 			b.Fatal(err)
 		}
 		if err := tab.Cput(pd); err != nil {

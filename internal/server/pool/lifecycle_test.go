@@ -68,9 +68,7 @@ func TestFireAndForgetAsyncReturn(t *testing.T) {
 func TestFireAndForgetAsyncPanic(t *testing.T) {
 	p := startPool(t, Config{Executors: 2, Orchestrators: 1}, func(reg *router.Registry) {
 		reg.MustRegister("child", func(ctx router.Ctx) ([]byte, error) {
-			for ctx.Err() == nil {
-				time.Sleep(time.Millisecond)
-			}
+			<-ctx.Done()
 			return nil, ctx.Err()
 		})
 		reg.MustRegister("parent", func(ctx router.Ctx) ([]byte, error) {
@@ -94,8 +92,8 @@ func TestFireAndForgetAsyncPanic(t *testing.T) {
 // with the request's cancellation and cascade it to the outstanding child
 // (which then unwinds cooperatively) — no PD may stay held.
 //
-// The order is fixed by handshakes, not sleeps: the leaf polls until the
-// deadline passes and finishes expired; the parent body calls Wait only
+// The order is fixed by handshakes, not sleeps: the leaf waits for the
+// deadline to pass and finishes expired; the parent body calls Wait only
 // once the caller's Invoke has returned DeadlineExceeded (so the request
 // is already abandoned) and the leaf's expiry has been counted.
 func TestWaitAfterDeadline(t *testing.T) {
@@ -105,9 +103,7 @@ func TestWaitAfterDeadline(t *testing.T) {
 	defer release() // a failed assertion must not strand the parent body
 	p := startPool(t, Config{Executors: 2, Orchestrators: 1}, func(reg *router.Registry) {
 		reg.MustRegister("leaf", func(ctx router.Ctx) ([]byte, error) {
-			for ctx.Err() == nil {
-				time.Sleep(time.Millisecond)
-			}
+			<-ctx.Done()
 			return nil, ctx.Err()
 		})
 		reg.MustRegister("parent", func(ctx router.Ctx) ([]byte, error) {

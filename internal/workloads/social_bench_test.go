@@ -46,10 +46,12 @@ func appendMixUser(b []byte, u uint64) []byte {
 	return strconv.AppendUint(append(b, 'u'), u, 10)
 }
 
-// seedSocialMix fills the store the way the benchmark rig does before its
-// first request: a profile per user, the follow graph, one post per user.
-func seedSocialMix(tb testing.TB, p *pool.Pool) {
+// seedSocialMix fills the store behind prefix ("social." or "socialcopy.")
+// the way the benchmark rig does before its first request: a profile per
+// user, the follow graph, one post per user.
+func seedSocialMix(tb testing.TB, p *pool.Pool, prefix string) {
 	tb.Helper()
+	profile, follow, post := prefix+"profile", prefix+"follow", prefix+"post"
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1*2654435761 + 17))
 	draws := make([]*mixDraw, mixClients)
@@ -63,68 +65,78 @@ func seedSocialMix(tb testing.TB, p *pool.Pool) {
 	}
 	buf := make([]byte, 0, 64)
 	for u := uint64(0); u < mixUsers; u++ {
-		invoke("social.profile", appendMixUser(buf[:0], u))
+		invoke(profile, appendMixUser(buf[:0], u))
 	}
 	for i := 0; i < mixUsers*mixFollows; i++ {
 		u, v := draws[i%mixClients].pair()
-		invoke("social.follow", appendMixUser(append(appendMixUser(buf[:0], u), ' '), v))
+		invoke(follow, appendMixUser(append(appendMixUser(buf[:0], u), ' '), v))
 	}
 	for u := uint64(0); u < mixUsers; u++ {
-		invoke("social.post", append(appendMixUser(buf[:0], u), " first post"...))
+		invoke(post, append(appendMixUser(buf[:0], u), " first post"...))
 	}
 }
 
 // BenchmarkSocialMix runs the social_read and social_write request mixes
 // (cumulative timeline / post / follow shares; the rest is profile) in
 // process against a seeded store, one request at a time, round robin over
-// the clients' request streams. b.N fixes how far the follow lists grow,
-// so compare runs at one -benchtime=Nx.
+// the clients' request streams: on the shared-state tier ("social.*") and
+// on the copy-per-request baseline ("socialcopy.*"), with the same draws.
+// b.N fixes how far the follow lists grow, so compare runs at one
+// -benchtime=Nx.
 func BenchmarkSocialMix(b *testing.B) {
-	for _, w := range []struct {
+	mixes := []struct {
 		name string
 		mix  [3]float64
 	}{
 		{"write", [3]float64{0.15, 0.70, 0.95}},
 		{"read", [3]float64{0.60, 0.85, 0.95}},
+	}
+	for _, store := range []struct{ name, prefix string }{
+		{"shared", "social."},
+		{"copy", "socialcopy."},
 	} {
-		b.Run(w.name, func(b *testing.B) {
-			p, _ := startSocialPool(b, 0)
-			seedSocialMix(b, p)
-			name := "social_" + w.name
-			rngs := make([]*rand.Rand, mixClients)
-			draws := make([]*mixDraw, mixClients)
-			for c := range rngs {
-				rngs[c] = rand.New(rand.NewSource(1*1000003 + int64(c)*7919 + int64(len(name))))
-				draws[c] = newMixDraw(rngs[c], c)
-			}
-			ctx := context.Background()
-			buf := make([]byte, 0, 128)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := i % mixClients
-				u, v := draws[c].pair()
-				buf = appendMixUser(buf[:0], u)
-				var fn string
-				switch r := rngs[c].Float64(); {
-				case r < w.mix[0]:
-					fn = "social.timeline"
-				case r < w.mix[1]:
-					fn = "social.post"
-					buf = append(buf, " musing "...)
-					buf = strconv.AppendInt(buf, int64(rngs[c].Intn(1_000_000)), 10)
-					buf = append(buf, " about single-address-space serverless"...)
-				case r < w.mix[2]:
-					fn = "social.follow"
-					buf = appendMixUser(append(buf, ' '), v)
-				default:
-					fn = "social.profile"
+		timeline, post := store.prefix+"timeline", store.prefix+"post"
+		follow, profile := store.prefix+"follow", store.prefix+"profile"
+		for _, w := range mixes {
+			b.Run(store.name+"/"+w.name, func(b *testing.B) {
+				p, _ := startSocialPool(b, 0)
+				seedSocialMix(b, p, store.prefix)
+				name := "social_" + w.name
+				rngs := make([]*rand.Rand, mixClients)
+				draws := make([]*mixDraw, mixClients)
+				for c := range rngs {
+					rngs[c] = rand.New(rand.NewSource(1*1000003 + int64(c)*7919 + int64(len(name))))
+					draws[c] = newMixDraw(rngs[c], c)
 				}
-				if _, err := p.Invoke(ctx, fn, buf); err != nil {
-					b.Fatalf("%s(%q): %v", fn, buf, err)
+				ctx := context.Background()
+				buf := make([]byte, 0, 128)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c := i % mixClients
+					u, v := draws[c].pair()
+					buf = appendMixUser(buf[:0], u)
+					var fn string
+					switch r := rngs[c].Float64(); {
+					case r < w.mix[0]:
+						fn = timeline
+					case r < w.mix[1]:
+						fn = post
+						buf = append(buf, " musing "...)
+						buf = strconv.AppendInt(buf, int64(rngs[c].Intn(1_000_000)), 10)
+						buf = append(buf, " about single-address-space serverless"...)
+					case r < w.mix[2]:
+						fn = follow
+						buf = appendMixUser(append(buf, ' '), v)
+					default:
+						fn = profile
+					}
+					if _, err := p.Invoke(ctx, fn, buf); err != nil {
+						b.Fatalf("%s(%q): %v", fn, buf, err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

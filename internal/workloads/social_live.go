@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"unicode"
 	"unicode/utf8"
 	"unsafe"
@@ -26,14 +25,16 @@ import (
 // model — pcopy R snapshots for reads, pmove RW ownership for updates,
 // G-bit promotion for the hot read-mostly objects (profiles, hot posts).
 //
-// Two registrations exist so jordbench can compare them head-to-head:
+// Two registrations exist so the two stores can be compared head-to-head
+// (BenchmarkSocialMix/{shared,copy}) and checked against each other
+// (TestSocialLiveFlow):
 //
 //   - RegisterSocialLive ("social.*"): shared state. Reads are zero-copy
 //     aliases of the committed value; read-modify-writes take exclusive
 //     ownership of exactly the keys they touch.
 //   - RegisterSocialCopy ("socialcopy.*"): the copy-per-request baseline a
 //     conventional FaaS state service imposes — every read and every write
-//     crosses the store boundary by value (memcpy), counted in CopyStats.
+//     crosses the store boundary by value (memcpy).
 //
 // The function bodies are identical; only the store behind them differs.
 //
@@ -135,21 +136,12 @@ func (sharedStore) update(ctx router.Ctx, key, arg string, f func(old []byte, ar
 	}
 }
 
-// CopyStats counts the bytes the copying baseline moved across its store
-// boundary — what the shared-state tier's copy_bytes_avoided counter is
-// measured against.
-type CopyStats struct {
-	ReadBytes  atomic.Uint64 // copied out of the store on reads
-	WriteBytes atomic.Uint64 // copied into the store on writes
-}
-
 // copyStore is the conventional baseline: a mutex-guarded map that copies
 // every value in on write and out on read, as a store behind a serialization
 // boundary (Redis, a state API) must.
 type copyStore struct {
-	mu    sync.RWMutex
-	m     map[string][]byte
-	stats *CopyStats
+	mu sync.RWMutex
+	m  map[string][]byte
 }
 
 func (s *copyStore) read(_ router.Ctx, key string) ([]byte, bool, router.StateSnap, error) {
@@ -163,13 +155,11 @@ func (s *copyStore) read(_ router.Ctx, key string) ([]byte, bool, router.StateSn
 	if !ok {
 		return nil, false, nil, nil
 	}
-	s.stats.ReadBytes.Add(uint64(len(out)))
 	return out, true, nil, nil
 }
 
 func (s *copyStore) write(_ router.Ctx, key string, val []byte) error {
 	cp := append([]byte(nil), val...)
-	s.stats.WriteBytes.Add(uint64(len(val)))
 	s.mu.Lock()
 	s.m[key] = cp
 	s.mu.Unlock()
@@ -178,11 +168,8 @@ func (s *copyStore) write(_ router.Ctx, key string, val []byte) error {
 
 func (s *copyStore) update(_ router.Ctx, key, arg string, f func(old []byte, arg string) []byte) ([]byte, error) {
 	s.mu.Lock()
-	old := s.m[key]
 	// The copy out and copy back in are both real costs of the boundary.
-	s.stats.ReadBytes.Add(uint64(len(old)))
-	next := f(append([]byte(nil), old...), arg)
-	s.stats.WriteBytes.Add(uint64(len(next)))
+	next := f(append([]byte(nil), s.m[key]...), arg)
 	s.m[key] = append([]byte(nil), next...)
 	s.mu.Unlock()
 	return next, nil
@@ -195,11 +182,9 @@ func RegisterSocialLive(reg *router.Registry) {
 }
 
 // RegisterSocialCopy deploys the identical bodies over the copy-per-request
-// baseline under the "socialcopy." prefix and returns its copy counters.
-func RegisterSocialCopy(reg *router.Registry) *CopyStats {
-	stats := &CopyStats{}
-	registerSocialBodies(reg, "socialcopy.", &copyStore{m: make(map[string][]byte), stats: stats})
-	return stats
+// baseline under the "socialcopy." prefix.
+func RegisterSocialCopy(reg *router.Registry) {
+	registerSocialBodies(reg, "socialcopy.", &copyStore{m: make(map[string][]byte)})
 }
 
 // Key layout (all node-global: the graph is shared by every function):

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,9 +108,86 @@ func TestSocialLiveFlow(t *testing.T) {
 	}
 }
 
+// TestStateGetInvokeZeroAlloc holds a state read through Pool.Invoke, with
+// tracing on, to the invoke path's zero-allocation bound on both read
+// paths: granted (promotion off: a pcopy R grant to the reader's PD, and
+// Release's pmove back) and promoted (the VTE G bit: one atomic load). The
+// body reads a 4 KiB global key, checks its length and releases it.
+func TestStateGetInvokeZeroAlloc(t *testing.T) {
+	if race {
+		t.Skip("race instrumentation allocates")
+	}
+	blob := make([]byte, 4096)
+	for i := range blob {
+		blob[i] = byte(i)
+	}
+	for _, tc := range []struct {
+		name         string
+		promoteAfter int
+	}{
+		{"granted", -1},
+		{"promoted", 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, st := startSocialPool(t, tc.promoteAfter, func(reg *router.Registry) {
+				reg.MustRegister("seed", func(ctx router.Ctx) ([]byte, error) {
+					_, err := ctx.StatePut(router.StateGlobal, "blob", blob)
+					return nil, err
+				})
+				reg.MustRegister("get4k", func(ctx router.Ctx) ([]byte, error) {
+					sn, err := ctx.StateGet(router.StateGlobal, "blob")
+					if err != nil {
+						return nil, err
+					}
+					n := len(sn.Bytes())
+					sn.Release()
+					if n != len(blob) {
+						return nil, fmt.Errorf("blob length %d, want %d", n, len(blob))
+					}
+					return nil, nil
+				})
+			})
+			if p.Trace() == nil {
+				t.Fatal("tracing must be on for this bound")
+			}
+			ctx := context.Background()
+			invoke := func(fn string) {
+				if _, err := p.Invoke(ctx, fn, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			invoke("seed")
+			for i := 0; i < 2000; i++ { // warm every pool and ring
+				invoke("get4k")
+			}
+
+			const n = 5000
+			fastBefore := st.StatsSnapshot().FastGets
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < n; i++ {
+				invoke("get4k")
+			}
+			runtime.ReadMemStats(&after)
+			perOp := float64(after.Mallocs-before.Mallocs) / n
+			fast := st.StatsSnapshot().FastGets - fastBefore
+			t.Logf("allocs/op with tracing: %.4f; fast gets %d of %d", perOp, fast, n)
+			if perOp > 0.01 {
+				t.Fatalf("state read through invoke allocates %.4f/op (want <= 0.01)", perOp)
+			}
+			if promoted := tc.promoteAfter > 0; promoted != (fast > 0) {
+				t.Fatalf("fast gets = %d over %d reads with PromoteAfter %d", fast, n, tc.promoteAfter)
+			}
+		})
+	}
+}
+
 // TestSocialLiveConcurrent hammers one hot author from concurrent posters
 // and readers under -race: contended Take retries, fan-out RMWs, and hot
-// post/profile reads crossing the promotion threshold.
+// post/profile reads crossing the promotion threshold. Every post takes
+// its id from the author's counter by Take/Commit, so two posts answered
+// with one id would be a lost update.
 func TestSocialLiveConcurrent(t *testing.T) {
 	p, st := startSocialPool(t, 8)
 	ctx := context.Background()
@@ -124,22 +203,24 @@ func TestSocialLiveConcurrent(t *testing.T) {
 	const posters, readers, rounds = 2, 6, 50
 	var wg sync.WaitGroup
 	errs := make(chan error, posters+readers)
+	ids := make(chan string, posters*rounds)
 	for i := 0; i < posters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for n := 0; n < rounds; n++ {
 				post := []byte(fmt.Sprintf("star post %d from %d", n, i))
-				_, err := p.Invoke(ctx, "social.post", post)
+				id, err := p.Invoke(ctx, "social.post", post)
 				// A take that lost all of its bounded retries to the other
 				// poster answers ErrTaken by design; the caller posts again.
 				for errors.Is(err, state.ErrTaken) {
-					_, err = p.Invoke(ctx, "social.post", post)
+					id, err = p.Invoke(ctx, "social.post", post)
 				}
 				if err != nil {
 					errs <- fmt.Errorf("post: %w", err)
 					return
 				}
+				ids <- string(id)
 			}
 		}(i)
 	}
@@ -165,6 +246,14 @@ func TestSocialLiveConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	close(ids)
+	seen := map[string]bool{}
+	for id := range ids {
+		if seen[id] {
+			t.Fatalf("post id %q answered twice", id)
+		}
+		seen[id] = true
+	}
 
 	stats := st.StatsSnapshot()
 	if stats.Commits < posters*rounds {
@@ -183,7 +272,7 @@ func TestSocialLiveConcurrent(t *testing.T) {
 // the digest also pins how odd user names split.
 func TestSocialBehaviourPinned(t *testing.T) {
 	const want = "9155aa5161e25b5294041b942e376b2d3b34cb4720f48b8d340080e1d6d7585e"
-	copies := &copyStore{m: make(map[string][]byte), stats: &CopyStats{}}
+	copies := &countingStore{copyStore: &copyStore{m: make(map[string][]byte)}}
 	p, st := startSocialPool(t, 4, func(reg *router.Registry) {
 		registerSocialBodies(reg, "pinned.", copies)
 		// dump reads back each newline-separated key of its payload.
@@ -256,9 +345,37 @@ func TestSocialBehaviourPinned(t *testing.T) {
 	fmt.Fprintf(h, "%s\n", strings.Join(copied, "\n"))
 	s := st.StatsSnapshot()
 	s.Outstanding = 0 // teardown releases may trail the last response
-	counters := fmt.Sprintf("%+v copy read %d write %d", s, copies.stats.ReadBytes.Load(), copies.stats.WriteBytes.Load())
+	counters := fmt.Sprintf("%+v copy read %d write %d", s, copies.readBytes.Load(), copies.writeBytes.Load())
 	fmt.Fprintf(h, "%s\n", counters)
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("social behaviour digest %s, want %s (counters: %s)", got, want, counters)
 	}
+}
+
+// countingStore is the copying baseline with the bytes that cross its
+// boundary counted: copied out by a read or by an update's copy of the old
+// value, copied in by a write or by an update's commit.
+type countingStore struct {
+	*copyStore
+	readBytes, writeBytes atomic.Uint64
+}
+
+func (s *countingStore) read(ctx router.Ctx, key string) ([]byte, bool, router.StateSnap, error) {
+	v, ok, sn, err := s.copyStore.read(ctx, key)
+	s.readBytes.Add(uint64(len(v)))
+	return v, ok, sn, err
+}
+
+func (s *countingStore) write(ctx router.Ctx, key string, val []byte) error {
+	s.writeBytes.Add(uint64(len(val)))
+	return s.copyStore.write(ctx, key, val)
+}
+
+func (s *countingStore) update(ctx router.Ctx, key, arg string, f func(old []byte, arg string) []byte) ([]byte, error) {
+	return s.copyStore.update(ctx, key, arg, func(old []byte, arg string) []byte {
+		s.readBytes.Add(uint64(len(old)))
+		next := f(old, arg)
+		s.writeBytes.Add(uint64(len(next)))
+		return next
+	})
 }
